@@ -10,7 +10,7 @@
 //     Before the chart arena the parser made ~46k heap allocations per
 //     pass; the gate is <= 5k.
 //   * events/s   — bench_sim_kernel's routing-bound sweep on a 1024-host
-//     star, event kernel. Packets route through the core and fall off
+//     star. Packets route through the core and fall off
 //     the far edge, so per-event cost is exactly what intern-at-
 //     injection and span forwarding changed. Gate: >= 1.5x the
 //     pre-refactor rate.
@@ -155,7 +155,7 @@ ParserResult measure_parser(const core::Sage& sage, int iterations) {
   return r;
 }
 
-// ---- section 2: routing-bound sweep, 1024-host star, event kernel ---------
+// ---- section 2: routing-bound sweep, 1024-host star ----------------------
 
 std::vector<std::pair<std::size_t, std::vector<std::uint8_t>>> sweep_batch(
     const sim::Topology& topo, int round) {
@@ -185,7 +185,7 @@ double measure_sweep_eps() {
   // so the before/after ratio compares like with like.
   constexpr int kReps = 5;
   constexpr int kRounds = 8;
-  auto topo = sim::make_star(1024, sim::DeliveryMode::kEvent);
+  auto topo = sim::make_star(1024);
   sim::Network& net = topo.net;
   // Warmup round: arena chunks and queue storage reach steady state.
   for (auto& [src, packet] : sweep_batch(topo, 0)) {

@@ -1,32 +1,32 @@
 // Event-queue simulator kernel throughput (not a paper artifact).
 //
-// Both delivery kernels run the same pre-built probe batches on star
-// topologies of 16, 256, and 1024 hosts:
-//   * reference: the original synchronous recursion, preserved verbatim —
-//     every hop re-resolves nodes with linear scans over the topology, so
-//     per-event cost grows with host count.
-//   * event: the timestamped queue kernel with hash-indexed lookup,
-//     NodeRefs carried in events, and cut-through dispatch of zero-delay
-//     hops — per-event cost is flat in topology size.
+// The kernel runs the same pre-built probe batches on star topologies of
+// 16, 256, and 1024 hosts. Node lookups are hash-indexed, NodeRefs ride
+// in events, and zero-delay hops dispatch cut-through, so per-event cost
+// should be flat in topology size — the property this bench gates.
 //
 // Two workloads, measured kernel-time only (packet building and
 // transient clears happen outside the timed region):
 //   * sweep (gated): every host probes an unassigned address in a far
 //     subnet, so packets route through the core and fall off the edge.
-//     No responder runs; the workload isolates exactly what the kernel
-//     swap changed — node resolution and hop dispatch.
-//   * ping mix (informational): hosts echo-ping peers across subnets.
-//     Endpoint work (responder reply construction, capture of the reply
-//     leg) is identical in both kernels, so the gap is smaller; reported
-//     for honesty about end-to-end sessions.
+//     No responder runs; the workload isolates node resolution and hop
+//     dispatch.
+//   * ping mix (informational): hosts echo-ping peers across subnets,
+//     adding endpoint work (responder reply construction, capture of the
+//     reply leg).
 //
-// Before timing, both kernels replay one batch and their capture digests
-// are compared entry-for-entry (node + packet bytes). A throughput number
-// from a diverged run can never land in the JSON.
+// Before timing, one batch per point is replayed and its capture log
+// (node + packet bytes) hashed against a digest recorded from the seed's
+// synchronous kernel. A throughput number from a diverged run can never
+// land in the JSON.
 //
 // Results are written to BENCH_sim_kernel.json (EXPERIMENTS.md records a
-// reference run). Exit is nonzero if any digest diverges or the event
-// kernel's sweep events/s advantage at 256 hosts drops below 10x.
+// reference run). Exit is nonzero if any capture digest diverges or if
+// sweep events/s at 1024 hosts falls below 0.5x sweep events/s at 256
+// hosts, measured in the same run. The seed's linear-scan kernel read
+// 0.19-0.24 on that ratio and the hash-indexed kernel 0.82-1.39, so the
+// gate catches a return to per-hop scans without a cross-machine
+// baseline.
 #include <chrono>
 #include <cstdio>
 #include <string>
@@ -54,9 +54,23 @@ constexpr int kRounds = 8;  // probe batches per repetition
 
 enum class Workload { kSweep, kPingMix };
 
+/// Capture-log digests of batch 0 per (workload, hosts), recorded from
+/// the seed's synchronous kernel (which the event kernel matched entry
+/// for entry when both existed).
+std::uint64_t pinned_digest(Workload workload, std::size_t hosts) {
+  const bool sweep = workload == Workload::kSweep;
+  switch (hosts) {
+    case 16:
+      return sweep ? 0xf6b03591b1bdf038ULL : 0xf489610df7c33df3ULL;
+    case 256:
+      return sweep ? 0xbc160eb4c6fc34b5ULL : 0x0ee04c0c249ea29fULL;
+    default:
+      return sweep ? 0x7932f8ff065d75b1ULL : 0x654bf7da3b74a307ULL;
+  }
+}
+
 /// One pre-built probe batch: (source host index, packet bytes) pairs.
-/// Batches depend only on (workload, host count), never on the kernel,
-/// so both kernels replay byte-identical traffic.
+/// Batches depend only on (workload, host count, round).
 std::vector<std::pair<std::size_t, std::vector<std::uint8_t>>> build_batch(
     const Topology& topo, Workload workload, int round) {
   const std::size_t n = topo.hosts.size();
@@ -87,7 +101,7 @@ std::vector<std::pair<std::size_t, std::vector<std::uint8_t>>> build_batch(
 
 struct Measurement {
   double best_eps = 0.0;
-  std::uint64_t events = 0;  // per batch-set, identical across kernels
+  std::uint64_t events = 0;  // per batch-set
 };
 
 /// Replays kRounds batches, timing only the send loop. clear_transient()
@@ -111,44 +125,53 @@ Measurement measure(Topology& topo, Workload workload) {
   return m;
 }
 
-/// Replays one batch on both kernels and compares captures entry for
-/// entry. Returns true when every (node, packet) pair matches.
-bool captures_identical(std::size_t hosts, Workload workload) {
-  // own_capture: the raw capture aliases each topology's arena, which
-  // dies at the end of the loop iteration.
-  std::vector<OwnedCaptureEntry> captures[2];
-  for (int k = 0; k < 2; ++k) {
-    const DeliveryMode mode =
-        k == 0 ? DeliveryMode::kEvent : DeliveryMode::kReference;
-    Topology topo = make_star(hosts, mode);
-    auto batch = build_batch(topo, workload, 0);
-    for (auto& [src, packet] : batch) {
-      topo.net.send_from_host(*topo.hosts[src], std::move(packet));
+/// FNV-1a over the capture log: per entry, the sending node's name and
+/// the packet bytes, each length-prefixed.
+std::uint64_t capture_digest(const std::vector<CaptureEntry>& capture) {
+  std::uint64_t h = 14695981039346656037ULL;
+  const auto add_bytes = [&h](const std::uint8_t* p, std::size_t n) {
+    for (std::size_t i = 0; i < n; ++i) {
+      h ^= p[i];
+      h *= 1099511628211ULL;
     }
-    captures[k] = own_capture(topo.net.capture());
-  }
-  if (captures[0].size() != captures[1].size()) return false;
-  for (std::size_t i = 0; i < captures[0].size(); ++i) {
-    if (captures[0][i].node != captures[1][i].node ||
-        captures[0][i].packet != captures[1][i].packet) {
-      return false;
+  };
+  const auto add_length = [&](std::size_t n) {
+    std::uint8_t le[8];
+    for (int i = 0; i < 8; ++i) {
+      le[i] = static_cast<std::uint8_t>(n >> (8 * i));
     }
+    add_bytes(le, 8);
+  };
+  add_length(capture.size());
+  for (const auto& entry : capture) {
+    add_length(entry.node.size());
+    add_bytes(reinterpret_cast<const std::uint8_t*>(entry.node.data()),
+              entry.node.size());
+    add_length(entry.packet.size());
+    add_bytes(entry.packet.data(), entry.packet.size());
   }
-  return true;
+  return h;
+}
+
+/// Replays batch 0 on a fresh star and checks its capture digest.
+bool capture_matches_pinned(std::size_t hosts, Workload workload) {
+  Topology topo = make_star(hosts);
+  for (auto& [src, packet] : build_batch(topo, workload, 0)) {
+    topo.net.send_from_host(*topo.hosts[src], std::move(packet));
+  }
+  return capture_digest(topo.net.capture()) == pinned_digest(workload, hosts);
 }
 
 }  // namespace
 
 int main() {
   benchutil::title("Simulator kernel throughput",
-                   "event-queue vs synchronous reference, star topologies");
+                   "event-queue kernel, star topologies");
 
   struct Point {
     const char* workload;
     std::size_t hosts;
     Measurement event;
-    Measurement reference;
-    double ratio;
     bool identical;
   };
   std::vector<Point> points;
@@ -162,30 +185,21 @@ int main() {
 
   for (const auto& w : workloads) {
     for (const std::size_t hosts : {16u, 256u, 1024u}) {
-      const bool identical = captures_identical(hosts, w.workload);
+      const bool identical = capture_matches_pinned(hosts, w.workload);
       all_identical = all_identical && identical;
 
-      Topology ev_topo = make_star(hosts, DeliveryMode::kEvent);
-      Topology ref_topo = make_star(hosts, DeliveryMode::kReference);
-      (void)measure(ev_topo, w.workload);   // warmup
-      (void)measure(ref_topo, w.workload);  // warmup
-      Measurement ev, ref;
-      // Interleave kernels per repetition so cache/allocator drift is
-      // shared; keep the best of kReps for each.
+      Topology topo = make_star(hosts);
+      (void)measure(topo, w.workload);  // warmup
+      Measurement ev;
+      // Keep the best of kReps.
       for (int r = 0; r < kReps; ++r) {
-        const Measurement e = measure(ev_topo, w.workload);
-        const Measurement f = measure(ref_topo, w.workload);
+        const Measurement e = measure(topo, w.workload);
         if (e.best_eps > ev.best_eps) ev.best_eps = e.best_eps;
-        if (f.best_eps > ref.best_eps) ref.best_eps = f.best_eps;
         ev.events = e.events;
-        ref.events = f.events;
       }
-      const double ratio = ref.best_eps > 0.0 ? ev.best_eps / ref.best_eps : 0.0;
-      points.push_back({w.name, hosts, ev, ref, ratio, identical});
+      points.push_back({w.name, hosts, ev, identical});
 
-      std::snprintf(buf, sizeof buf,
-                    "%9.0f ev/s event   %9.0f ev/s reference   %6.2fx%s",
-                    ev.best_eps, ref.best_eps, ratio,
+      std::snprintf(buf, sizeof buf, "%9.0f ev/s%s", ev.best_eps,
                     identical ? "" : "  CAPTURE DIVERGED");
       benchutil::row(std::string(w.name) + " " + std::to_string(hosts) +
                          " hosts",
@@ -194,19 +208,21 @@ int main() {
   }
 
   benchutil::rule();
-  double sweep_ratio_at_256 = 0.0;
+  double sweep_256 = 0.0;
+  double sweep_1024 = 0.0;
   for (const auto& p : points) {
-    if (p.hosts == 256 && std::string(p.workload) == "sweep") {
-      sweep_ratio_at_256 = p.ratio;
-    }
+    if (std::string(p.workload) != "sweep") continue;
+    if (p.hosts == 256) sweep_256 = p.event.best_eps;
+    if (p.hosts == 1024) sweep_1024 = p.event.best_eps;
   }
-  const bool gate = sweep_ratio_at_256 >= 10.0;
+  const double scaling = sweep_256 > 0.0 ? sweep_1024 / sweep_256 : 0.0;
+  const bool gate = scaling >= 0.5;
   std::snprintf(buf, sizeof buf,
-                "%.2fx at 256 hosts, sweep (gate: >= 10x vs reference)",
-                sweep_ratio_at_256);
-  benchutil::row(gate ? "throughput gate met" : "THROUGHPUT GATE MISSED", buf);
+                "%.2fx sweep ev/s, 1024 vs 256 hosts (gate: >= 0.5x)",
+                scaling);
+  benchutil::row(gate ? "scaling gate met" : "SCALING GATE MISSED", buf);
   benchutil::row("determinism contract",
-                 all_identical ? "captures byte-identical across kernels"
+                 all_identical ? "capture digests match the pinned goldens"
                                : "see rows above");
 
   FILE* json = std::fopen("BENCH_sim_kernel.json", "w");
@@ -215,33 +231,26 @@ int main() {
     std::fprintf(json,
                  "  \"workloads\": {\"sweep\": \"probes to unassigned far-"
                  "subnet addresses; routing-only, no responder\", "
-                 "\"ping-mix\": \"cross-subnet echo sessions; endpoint "
-                 "work shared by both kernels\"},\n");
+                 "\"ping-mix\": \"cross-subnet echo sessions\"},\n");
     std::fprintf(json,
                  "  \"method\": \"pre-built batches, kernel send loop "
-                 "timed only, best of %d interleaved reps x %d rounds\",\n",
+                 "timed only, best of %d reps x %d rounds\",\n",
                  kReps, kRounds);
-    std::fprintf(json,
-                 "  \"note\": \"reference kernel preserves the seed's "
-                 "synchronous recursion with per-hop linear node scans; "
-                 "event kernel uses the timestamped queue with hash "
-                 "lookups and cut-through zero-delay dispatch\",\n");
     std::fprintf(json, "  \"points\": [\n");
     for (std::size_t i = 0; i < points.size(); ++i) {
       const auto& p = points[i];
       std::fprintf(json,
                    "    {\"workload\": \"%s\", \"hosts\": %zu, "
                    "\"events\": %llu, \"event_eps\": %.0f, "
-                   "\"reference_eps\": %.0f, \"ratio\": %.2f, "
-                   "\"captures_identical\": %s}%s\n",
+                   "\"capture_digest_pinned\": %s}%s\n",
                    p.workload, p.hosts,
                    static_cast<unsigned long long>(p.event.events),
-                   p.event.best_eps, p.reference.best_eps, p.ratio,
-                   p.identical ? "true" : "false",
+                   p.event.best_eps, p.identical ? "true" : "false",
                    i + 1 == points.size() ? "" : ",");
     }
     std::fprintf(json, "  ],\n");
-    std::fprintf(json, "  \"throughput_gate_10x_at_256_hosts\": %s\n",
+    std::fprintf(json, "  \"sweep_eps_1024_over_256\": %.2f,\n", scaling);
+    std::fprintf(json, "  \"scaling_gate_half_at_1024_hosts\": %s\n",
                  gate ? "true" : "false");
     std::fprintf(json, "}\n");
     std::fclose(json);

@@ -35,7 +35,6 @@ std::uint64_t ParseCache::options_fingerprint(const ParserOptions& options) {
   h = fnv1a(h, options.enable_type_raising ? 1 : 0);
   h = fnv1a(h, options.enable_coordination ? 1 : 0);
   h = fnv1a(h, options.record_derivations ? 1 : 0);
-  h = fnv1a(h, options.reference_mode ? 1 : 0);
   h = fnv1a(h, options.max_edges_per_cell);
   h = fnv1a(h, options.max_tokens);
   return h;

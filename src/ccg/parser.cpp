@@ -43,9 +43,9 @@ struct ArenaNode {
 using CellIndex = std::pmr::vector<std::pair<std::uint32_t, std::uint32_t>>;
 
 /// A chart cell: its edges plus the dedup set and combinability indexes
-/// the production path probes. All index lists hold edge positions in
-/// insertion order (ascending), which is what keeps the indexed
-/// enumeration byte-identical to the original cross-product scan.
+/// the binary-combination loop probes. All index lists hold edge
+/// positions in insertion order (ascending), which is what keeps the
+/// indexed enumeration in the order a full left×right scan would visit.
 ///
 /// Allocator-aware: every vector bump-allocates from the per-thread
 /// chart arena (util::Arena as a pmr resource), so vector growth never
@@ -62,11 +62,10 @@ struct Cell {
         bwd_by_arg(alloc) {}
 
   std::pmr::vector<Edge> edges;
-  /// Production dedup: (category interner id << 32) | term interner id,
-  /// one entry per edge, linearly scanned (cells are small — see
-  /// CellIndex). Equivalent to the reference mode's rendered-string key
-  /// because rendering is injective on beta-normal terms — same
-  /// structure, same id, same string.
+  /// Edge dedup: (category interner id << 32) | term interner id, one
+  /// entry per edge, linearly scanned (cells are small — see CellIndex).
+  /// Two derivations with the same category and semantics are
+  /// interchangeable, and hash-consing makes equal structure equal id.
   std::pmr::vector<std::uint64_t> seen;
   /// Edges keyed by exact category id (forward application targets,
   /// noun-compound partners).
@@ -79,23 +78,15 @@ struct Cell {
   CellIndex bwd_by_arg;
 };
 
-/// Reference-mode deduplication key: category + semantics rendering. Two
-/// derivations with the same category and semantics are interchangeable.
-std::string edge_key(const Edge& e) {
-  return e.cat->to_string() + " :: " + term_to_string(e.sem);
-}
-
 class Chart {
  public:
   Chart(std::size_t n, std::size_t cap, std::vector<ArenaNode>* arena,
-        ParseStats* stats, bool reference_mode,
-        std::pmr::memory_resource* mr)
+        ParseStats* stats, std::pmr::memory_resource* mr)
       : n_(n),
         cap_(cap),
         cells_(n * n, mr),  // uses-allocator: every Cell vector gets mr
         arena_(arena),
-        stats_(stats),
-        reference_mode_(reference_mode) {}
+        stats_(stats) {}
 
   Cell& cell(std::size_t start, std::size_t span) {
     return cells_[(span - 1) * n_ + start];
@@ -116,38 +107,27 @@ class Chart {
       ++stats_->cap_drops;
       return false;
     }
-    if (reference_mode_) {
-      std::string key = std::to_string(start) + "," + std::to_string(span) +
-                        "|" + edge_key(edge);
-      if (!seen_strings_.insert(std::move(key)).second) {
+    const std::uint64_t key =
+        (static_cast<std::uint64_t>(edge.cat->id()) << 32) | edge.sem->id;
+    for (const std::uint64_t k : c.seen) {
+      if (k == key) {
         ++stats_->dedup_hits;
         return false;
       }
-    } else {
-      const std::uint64_t key =
-          (static_cast<std::uint64_t>(edge.cat->id()) << 32) | edge.sem->id;
-      for (const std::uint64_t k : c.seen) {
-        if (k == key) {
-          ++stats_->dedup_hits;
-          return false;
-        }
-      }
-      c.seen.push_back(key);
     }
+    c.seen.push_back(key);
     if (arena_ != nullptr) {
       arena_->push_back(
           ArenaNode{edge.cat.get(), edge.sem.get(), rule(), left, right});
       edge.id = static_cast<int>(arena_->size()) - 1;
     }
-    if (!reference_mode_) {
-      const auto pos = static_cast<std::uint32_t>(c.edges.size());
-      c.by_cat.emplace_back(edge.cat->id(), pos);
-      if (!edge.cat->is_primitive()) {
-        if (edge.cat->slash() == Category::Slash::kForward) {
-          c.fwd_by_result.emplace_back(edge.cat->result()->id(), pos);
-        } else {
-          c.bwd_by_arg.emplace_back(edge.cat->arg()->id(), pos);
-        }
+    const auto pos = static_cast<std::uint32_t>(c.edges.size());
+    c.by_cat.emplace_back(edge.cat->id(), pos);
+    if (!edge.cat->is_primitive()) {
+      if (edge.cat->slash() == Category::Slash::kForward) {
+        c.fwd_by_result.emplace_back(edge.cat->result()->id(), pos);
+      } else {
+        c.bwd_by_arg.emplace_back(edge.cat->arg()->id(), pos);
       }
     }
     c.edges.push_back(std::move(edge));
@@ -161,8 +141,6 @@ class Chart {
   std::pmr::vector<Cell> cells_;
   std::vector<ArenaNode>* arena_;
   ParseStats* stats_;
-  bool reference_mode_;
-  std::unordered_set<std::string> seen_strings_;  // reference mode only
 };
 
 bool is_conj(const Category& c) {
@@ -368,7 +346,7 @@ ParseResult CcgParser::parse(const std::vector<nlp::Token>& tokens) const {
   chart_arena.reset();
   Chart chart(n, options_.max_edges_per_cell,
               options_.record_derivations ? &arena : nullptr, &result.stats,
-              options_.reference_mode, &chart_arena);
+              &chart_arena);
 
   const auto reduce_or_drop = [&](TermPtr t) {
     ++result.stats.beta_reductions;
@@ -429,8 +407,8 @@ ParseResult CcgParser::parse(const std::vector<nlp::Token>& tokens) const {
 
   // --- binary combination ------------------------------------------------
   // Applies every combinator whose guards pass, in a fixed order, so the
-  // result is independent of how the partner edge was found (index probe
-  // or cross-product scan).
+  // result depends only on which (left, right) pairs are visited and in
+  // what order — not on how the partner edge was found.
   const auto try_combine = [&](const Edge& l, const Edge& r, std::size_t start,
                                std::size_t span) {
     // Forward application: X/Y  Y  =>  X
@@ -525,19 +503,11 @@ ParseResult CcgParser::parse(const std::vector<nlp::Token>& tokens) const {
       for (std::size_t left_span = 1; left_span < span; ++left_span) {
         const Cell& left = chart.cell(start, left_span);
         const Cell& right = chart.cell(start + left_span, span - left_span);
-        if (options_.reference_mode) {
-          for (const Edge& l : left.edges) {
-            for (const Edge& r : right.edges) {
-              try_combine(l, r, start, span);
-            }
-          }
-          continue;
-        }
         for (const Edge& l : left.edges) {
           // Gather candidate partners from the right cell's indexes. Each
           // probe list is ascending by insertion; the sort+unique merge
-          // restores the exact right-cell scan order, so cap truncation
-          // and first-derivation-wins dedup behave as in reference mode.
+          // restores right-cell insertion order, so cap truncation and
+          // first-derivation-wins dedup see pairs in full-scan order.
           cand.clear();
           if (options_.enable_coordination && is_conj(*l.cat) &&
               l.sem->kind == Term::Kind::kPred) {

@@ -18,9 +18,9 @@
 // hash-consed (interner.hpp), so edge dedup keys on interner ids instead
 // of rendered strings, and each chart cell carries combinability indexes
 // (by category id, by forward-slash result, by backward-slash argument)
-// that replace the left×right cross-product scan with index probes. The
-// original scan survives behind ParserOptions::reference_mode as the
-// oracle for the differential tests.
+// that replace the left×right cross-product scan with index probes.
+// tests/test_differential.cpp pins every corpus sentence's parse to the
+// output the seed's cross-product scan produced.
 #pragma once
 
 #include <cstddef>
@@ -41,12 +41,6 @@ struct ParserOptions {
   /// Appendix B / Figure 7 output). Off by default: derivations cost
   /// memory and only the explainability surfaces need them.
   bool record_derivations = false;
-  /// Differential-testing escape hatch: combine cells with the original
-  /// cross-product scan and string-rendered dedup keys instead of the
-  /// indexed probes and interner-id keys. Byte-identical output to the
-  /// production path (tests/test_differential.cpp holds both to it);
-  /// only the work done to get there differs.
-  bool reference_mode = false;
   /// Per-cell edge cap; prevents pathological blowup on long sentences.
   std::size_t max_edges_per_cell = 96;
   /// Sentences longer than this are rejected (0 logical forms) — matches
@@ -60,7 +54,7 @@ struct ParseStats {
   std::size_t edges_created = 0;    // edges admitted to the chart
   std::size_t dedup_hits = 0;       // edges rejected as duplicates
   std::size_t cap_drops = 0;        // edges rejected by the per-cell cap
-  std::size_t index_probes = 0;     // cell-index lookups (production mode)
+  std::size_t index_probes = 0;     // cell-index lookups
   std::size_t beta_reductions = 0;  // beta_reduce() calls
   std::size_t beta_steps = 0;       // total normal-order steps taken
   // Chart-arena counters (util::Arena backing the chart cells). The

@@ -440,8 +440,8 @@ std::string parser_mismatch(const FuzzPacket& pkt, bool* parsed) {
 /// the same rng by value, so the injected weather is byte-identical.
 std::vector<sim::OwnedCaptureEntry> run_icmp_side(
     sim::IcmpResponder* responder, const FuzzPacket& pkt,
-    const FaultPlan& faults, Rng fault_rng, sim::DeliveryMode delivery) {
-  sim::Network net = sim::make_appendix_a_network(delivery);
+    const FaultPlan& faults, util::SplitMix64 fault_rng) {
+  sim::Network net = sim::make_appendix_a_network();
   net.router()->set_responder(responder);
   net.find_host("server1")->set_responder(responder);
   net.find_host("server2")->set_responder(responder);
@@ -579,14 +579,14 @@ DifferentialFuzzer::DifferentialFuzzer(FuzzOptions options)
     : options_(std::move(options)) {}
 
 CaseResult DifferentialFuzzer::run_case(const FuzzPacket& packet,
-                                        Rng fault_rng) const {
+                                        util::SplitMix64 fault_rng) const {
   if (packet.protocol == "icmp") return run_icmp_case(packet, fault_rng);
   if (packet.protocol == "icmp6") return run_icmp6_case(packet);
   return run_layer_case(packet);
 }
 
-CaseResult DifferentialFuzzer::run_icmp_case(const FuzzPacket& packet,
-                                             Rng fault_rng) const {
+CaseResult DifferentialFuzzer::run_icmp_case(
+    const FuzzPacket& packet, util::SplitMix64 fault_rng) const {
   CaseResult result;
   result.packet = packet;
 
@@ -598,15 +598,13 @@ CaseResult DifferentialFuzzer::run_icmp_case(const FuzzPacket& packet,
     for (const auto& fn : core::canonical_icmp_run().functions) {
       generated.add_function(fn);
     }
-    cap_gen = run_icmp_side(&generated, packet, options_.faults, fault_rng,
-                            options_.delivery);
+    cap_gen = run_icmp_side(&generated, packet, options_.faults, fault_rng);
   } catch (const std::exception& e) {
     crash_detail = std::string("generated responder threw: ") + e.what();
   }
   try {
     sim::ReferenceIcmpResponder reference;
-    cap_ref = run_icmp_side(&reference, packet, options_.faults, fault_rng,
-                            options_.delivery);
+    cap_ref = run_icmp_side(&reference, packet, options_.faults, fault_rng);
   } catch (const std::exception& e) {
     if (!crash_detail.empty()) crash_detail += "; ";
     crash_detail += std::string("reference responder threw: ") + e.what();
@@ -816,7 +814,7 @@ CaseResult DifferentialFuzzer::run_layer_case(const FuzzPacket& packet) const {
 }
 
 void DifferentialFuzzer::minimize_case(CaseResult& result,
-                                       Rng fault_rng) const {
+                                       util::SplitMix64 fault_rng) const {
   const auto fails = [&](std::vector<std::uint8_t> candidate) {
     FuzzPacket probe = result.packet;
     probe.bytes = std::move(candidate);
@@ -897,9 +895,10 @@ FuzzReport DifferentialFuzzer::run() const {
   std::vector<CaseResult> results(n);
 
   const auto one = [&](std::size_t i) {
-    Rng packet_rng = Rng(options_.seed).fork(i);
+    util::SplitMix64 packet_rng = util::SplitMix64(options_.seed).fork(i);
     const FuzzPacket packet = generator.generate(packet_rng);
-    const Rng fault_rng = Rng(options_.seed ^ kFaultSalt).fork(i);
+    const util::SplitMix64 fault_rng =
+        util::SplitMix64(options_.seed ^ kFaultSalt).fork(i);
     results[i] = run_case(packet, fault_rng);
     if (options_.minimize && (results[i].verdict == Verdict::kDivergent ||
                               results[i].verdict == Verdict::kCrash)) {

@@ -61,12 +61,7 @@ struct FuzzOptions {
   std::size_t jobs = 1;  // >1 fans iterations over a util::ThreadPool
   FaultPlan faults;      // applied identically to both networks
   bool minimize = true;  // greedily reduce failing inputs
-  /// Which simulator kernel both Appendix-A networks run on. Verdict
-  /// logs are pinned byte-identical across the two kernels
-  /// (tests/test_fuzz_regressions.cpp), so this is a pure execution
-  /// knob, mirroring the parser's reference_mode.
-  sim::DeliveryMode delivery = sim::DeliveryMode::kEvent;
-  /// Which backend the generated responder executes on. Another pure
+  /// Which backend the generated responder executes on. A pure
   /// execution knob: verdict logs are pinned byte-identical across
   /// kThreaded and kTree (tests/test_fuzz_regressions.cpp).
   runtime::vm::ExecBackend backend = runtime::vm::ExecBackend::kThreaded;
@@ -101,16 +96,18 @@ class DifferentialFuzzer {
 
   /// Check a single packet (corpus replay, minimization probes).
   /// `fault_rng` seeds the fault decisions for both networks.
-  CaseResult run_case(const FuzzPacket& packet, Rng fault_rng) const;
+  CaseResult run_case(const FuzzPacket& packet,
+                      util::SplitMix64 fault_rng) const;
 
   /// Format the deterministic verdict-log line for one case.
   static std::string log_line(std::size_t index, const CaseResult& result);
 
  private:
-  CaseResult run_icmp_case(const FuzzPacket& packet, Rng fault_rng) const;
+  CaseResult run_icmp_case(const FuzzPacket& packet,
+                           util::SplitMix64 fault_rng) const;
   CaseResult run_icmp6_case(const FuzzPacket& packet) const;
   CaseResult run_layer_case(const FuzzPacket& packet) const;
-  void minimize_case(CaseResult& result, Rng fault_rng) const;
+  void minimize_case(CaseResult& result, util::SplitMix64 fault_rng) const;
 
   FuzzOptions options_;
 };

@@ -116,22 +116,16 @@ void FaultyNetwork::flush() {
   std::vector<Held> pending = std::move(delayed_);
   delayed_.clear();
   if (pending.empty()) return;
-  if (net_.delivery_mode() == sim::DeliveryMode::kEvent) {
-    // Delay faults are genuine future-time events on the event kernel,
-    // not a post-hoc replay: the packet sits in the queue until the
-    // simulated clock reaches its release time. Strictly increasing
-    // release times keep each cascade whole (see header).
-    std::uint64_t at = kDelayNs;
-    for (const auto& held : pending) {
-      net_.schedule_from_host(held.host, held.packet, at, held.via_router);
-      at += kDelaySpacingNs;
-    }
-    net_.run();
-    return;
-  }
+  // Delay faults are genuine future-time events, not a post-hoc replay:
+  // the packet sits in the queue until the simulated clock reaches its
+  // release time. Strictly increasing release times keep each cascade
+  // whole (see header).
+  std::uint64_t at = kDelayNs;
   for (const auto& held : pending) {
-    put_on_wire(held.host, held.packet, held.via_router);
+    net_.schedule_from_host(held.host, held.packet, at, held.via_router);
+    at += kDelaySpacingNs;
   }
+  net_.run();
 }
 
 }  // namespace sage::fuzz

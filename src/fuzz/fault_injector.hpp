@@ -2,11 +2,11 @@
 //
 // FaultyNetwork wraps a Network and applies loss, duplication,
 // reordering, delay, and byte corruption to packets before they reach the
-// wire. Every decision is drawn from a fuzz::Rng the caller supplies, so
-// two wrappers constructed with the same plan and the same-seeded rng
-// make byte-identical decisions — that is how the differential harness
-// subjects the generated-code network and the reference network to the
-// exact same weather.
+// wire. Every decision is drawn from a util::SplitMix64 the caller
+// supplies, so two wrappers constructed with the same plan and the
+// same-seeded rng make byte-identical decisions — that is how the
+// differential harness subjects the generated-code network and the
+// reference network to the exact same weather.
 #pragma once
 
 #include <cstdint>
@@ -15,8 +15,8 @@
 #include <string>
 #include <vector>
 
-#include "fuzz/rng.hpp"
 #include "sim/network.hpp"
+#include "util/rng.hpp"
 
 namespace sage::fuzz {
 
@@ -40,7 +40,8 @@ struct FaultPlan {
 
 class FaultyNetwork {
  public:
-  FaultyNetwork(sim::Network& net, const FaultPlan& plan, Rng rng)
+  FaultyNetwork(sim::Network& net, const FaultPlan& plan,
+                util::SplitMix64 rng)
       : net_(net), plan_(plan), rng_(rng) {}
 
   /// Send from `host`, subject to the plan. `via_router` forces the first
@@ -50,17 +51,16 @@ class FaultyNetwork {
   void send(const std::string& host, std::span<const std::uint8_t> packet,
             bool via_router = false);
 
-  /// Release every held (reordered/delayed) packet, oldest first. Under
-  /// the event kernel, delayed packets are released as real future-time
-  /// events: each is scheduled kDelayNs into the simulated future, spaced
-  /// kDelaySpacingNs apart so each release's cascade quiesces before the
-  /// next begins — which is exactly the reference kernel's sequential
-  /// release order, keeping verdict logs byte-stable across kernels.
+  /// Release every held (reordered/delayed) packet, oldest first.
+  /// Delayed packets are released as real future-time events: each is
+  /// scheduled kDelayNs into the simulated future, spaced kDelaySpacingNs
+  /// apart so each release's cascade quiesces before the next begins —
+  /// the sequential release order the pinned fuzz verdict logs record.
   void flush();
 
-  /// Simulated-time penalty of a delay fault (event kernel).
+  /// Simulated-time penalty of a delay fault.
   static constexpr std::uint64_t kDelayNs = 1000000;  // 1ms
-  /// Spacing between consecutive delayed releases (event kernel).
+  /// Spacing between consecutive delayed releases.
   static constexpr std::uint64_t kDelaySpacingNs = 1000;
 
  private:
@@ -77,7 +77,7 @@ class FaultyNetwork {
 
   sim::Network& net_;
   FaultPlan plan_;
-  Rng rng_;
+  util::SplitMix64 rng_;
   std::optional<Held> swap_hold_;  // reorder: goes out after the next send
   std::vector<Held> delayed_;      // delay: goes out at flush()
   /// Corruption scratch slab: assign() reuses its capacity, so a long

@@ -100,7 +100,7 @@ net::Ip6Addr server6_addr() {
   return net::Ip6Addr::from_groups(0x2001, 0xdb8, 0, 0, 0, 0, 0, 2);
 }
 
-std::vector<std::uint8_t> random_bytes(Rng& rng, std::size_t n) {
+std::vector<std::uint8_t> random_bytes(util::SplitMix64& rng, std::size_t n) {
   std::vector<std::uint8_t> out(n);
   for (auto& b : out) b = static_cast<std::uint8_t>(rng.below(256));
   return out;
@@ -179,7 +179,7 @@ const std::vector<std::string>& PacketGenerator::known_protocols() {
   return kProtocols;
 }
 
-FuzzPacket PacketGenerator::base_packet(Rng& rng) const {
+FuzzPacket PacketGenerator::base_packet(util::SplitMix64& rng) const {
   FuzzPacket pkt;
   pkt.protocol = protocol_;
 
@@ -412,7 +412,7 @@ FuzzPacket PacketGenerator::base_packet(Rng& rng) const {
   return pkt;
 }
 
-void PacketGenerator::mutate(FuzzPacket& pkt, Rng& rng) const {
+void PacketGenerator::mutate(FuzzPacket& pkt, util::SplitMix64& rng) const {
   if (pkt.bytes.empty()) return;
   const auto layers = layout(pkt);
   // ~35% of inputs stay valid so agreeing-reply coverage never starves.
@@ -565,7 +565,7 @@ void PacketGenerator::mutate(FuzzPacket& pkt, Rng& rng) const {
   }
 }
 
-FuzzPacket PacketGenerator::generate(Rng& rng) const {
+FuzzPacket PacketGenerator::generate(util::SplitMix64& rng) const {
   FuzzPacket pkt = base_packet(rng);
   mutate(pkt, rng);
   return pkt;
@@ -574,7 +574,7 @@ FuzzPacket PacketGenerator::generate(Rng& rng) const {
 // ---- round-trip helpers ---------------------------------------------------
 
 std::vector<std::uint8_t> random_layer_image(const schema::LayerSpec& layer,
-                                             Rng& rng) {
+                                             util::SplitMix64& rng) {
   std::vector<std::uint8_t> image(layer.header_bytes, 0);
   for (const auto& f : layer.fields) {
     if (f.kind != schema::FieldKind::kScalar) continue;

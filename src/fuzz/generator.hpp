@@ -9,8 +9,8 @@
 // PR 3 already derives codegen and the simulator from — the fuzzer
 // cannot drift from the formats the code under test speaks.
 //
-// Everything is driven by fuzz::Rng only: the same seed yields the same
-// byte sequence on any thread count or platform.
+// Everything is driven by util::SplitMix64 only: the same seed yields
+// the same byte sequence on any thread count or platform.
 #pragma once
 
 #include <cstdint>
@@ -20,8 +20,8 @@
 #include <utility>
 #include <vector>
 
-#include "fuzz/rng.hpp"
 #include "net/schema.hpp"
+#include "util/rng.hpp"
 
 namespace sage::fuzz {
 
@@ -69,13 +69,13 @@ class PacketGenerator {
 
   /// Deterministic function of the rng state: scenario, base packet,
   /// mutation.
-  FuzzPacket generate(Rng& rng) const;
+  FuzzPacket generate(util::SplitMix64& rng) const;
 
   static const std::vector<std::string>& known_protocols();
 
  private:
-  FuzzPacket base_packet(Rng& rng) const;
-  void mutate(FuzzPacket& pkt, Rng& rng) const;
+  FuzzPacket base_packet(util::SplitMix64& rng) const;
+  void mutate(FuzzPacket& pkt, util::SplitMix64& rng) const;
 
   std::string protocol_;
 };
@@ -85,7 +85,7 @@ class PacketGenerator {
 /// A header image with every kScalar field of `layer` set to a seeded
 /// random value (written in spec order; bits no field covers stay zero).
 std::vector<std::uint8_t> random_layer_image(const net::schema::LayerSpec& layer,
-                                             Rng& rng);
+                                             util::SplitMix64& rng);
 
 /// Read every kScalar field of `layer` from `image` and write the values
 /// into a fresh zero image in spec order. For an image produced by

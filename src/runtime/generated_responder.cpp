@@ -1,77 +1,56 @@
 #include "runtime/generated_responder.hpp"
 
-#include "codegen/generator.hpp"
+#include <map>
 
 namespace sage::runtime {
 
 namespace {
 
-/// Function names for the eight RFC 792 messages, derived the same way
-/// the generator derives them.
-std::string fn_name(const std::string& message, const std::string& role) {
-  return codegen::CodeGenerator::function_name("ICMP", message, role);
-}
+/// The eight RFC 792 events, in the order of the table built below.
+enum Event : std::size_t {
+  kEcho,
+  kTimestamp,
+  kInformation,
+  kDestinationUnreachable,
+  kTimeExceeded,
+  kParameterProblem,
+  kSourceQuench,
+  kRedirect,
+};
 
 }  // namespace
 
-void GeneratedIcmpResponder::add_function(codegen::GeneratedFunction fn) {
-  Entry entry;
-  if (backend_ == vm::ExecBackend::kThreaded) {
-    entry.program = vm::compile(fn);
-  }
-  entry.fn = std::move(fn);
-  functions_[entry.fn.name] = std::move(entry);
-}
-
-std::optional<std::vector<std::uint8_t>> GeneratedIcmpResponder::run(
-    const std::string& function_name, const sim::ResponderContext& ctx,
-    bool start_from_incoming, const std::string& scenario,
-    const std::function<void(SchemaExecEnv&)>& setup) {
-  last_errors_.clear();
-  const auto it = functions_.find(function_name);
-  if (it == functions_.end()) {
-    last_errors_.push_back("no generated function named " + function_name);
-    return std::nullopt;
-  }
-  auto env = SchemaExecEnv::icmp(ctx.triggering_packet, ctx.own_address,
-                                 start_from_incoming);
-  if (!env.valid()) {
-    last_errors_.push_back("triggering packet is not decodable IPv4");
-    return std::nullopt;
-  }
-  env.set_scenario(scenario);
-  if (setup) setup(env);
-
-  const Entry& entry = it->second;
-  const ExecResult result =
-      entry.program.has_value()
-          ? vm::execute(*entry.program, env)
-          : interpreter_.run(entry.fn.body, env);
-  if (!result.ok) {
-    last_errors_ = result.errors;
-    return std::nullopt;
-  }
-  return env.finish_reply();
-}
+GeneratedIcmpResponder::GeneratedIcmpResponder(vm::ExecBackend backend)
+    : HandlerTable(backend, "ICMP",
+                   {
+                       {"Echo or Echo Reply Message", "receiver"},
+                       {"Timestamp or Timestamp Reply Message", "receiver"},
+                       {"Information Request or Information Reply Message",
+                        "receiver"},
+                       {"Destination Unreachable Message", "sender"},
+                       {"Time Exceeded Message", "sender"},
+                       {"Parameter Problem Message", "sender"},
+                       {"Source Quench Message", "sender"},
+                       {"Redirect Message", "sender"},
+                   },
+                   "triggering packet is not decodable IPv4") {}
 
 std::optional<std::vector<std::uint8_t>> GeneratedIcmpResponder::on_echo_request(
     const sim::ResponderContext& ctx) {
-  return run(fn_name("Echo or Echo Reply Message", "receiver"), ctx,
-             /*start_from_incoming=*/true, "echo reply message");
+  return run(kEcho, ctx, /*start_from_incoming=*/true, "echo reply message");
 }
 
 std::optional<std::vector<std::uint8_t>>
 GeneratedIcmpResponder::on_timestamp_request(const sim::ResponderContext& ctx) {
-  return run(fn_name("Timestamp or Timestamp Reply Message", "receiver"), ctx,
-             /*start_from_incoming=*/true, "timestamp reply message");
+  return run(kTimestamp, ctx, /*start_from_incoming=*/true,
+             "timestamp reply message");
 }
 
 std::optional<std::vector<std::uint8_t>>
 GeneratedIcmpResponder::on_information_request(
     const sim::ResponderContext& ctx) {
-  return run(fn_name("Information Request or Information Reply Message",
-                     "receiver"),
-             ctx, /*start_from_incoming=*/true, "information reply message");
+  return run(kInformation, ctx, /*start_from_incoming=*/true,
+             "information reply message");
 }
 
 std::optional<std::vector<std::uint8_t>>
@@ -84,36 +63,38 @@ GeneratedIcmpResponder::on_destination_unreachable(
       {5, "source route failed"},
   };
   const auto it = kScenario.find(code);
-  return run(fn_name("Destination Unreachable Message", "sender"), ctx,
+  return run(kDestinationUnreachable, ctx,
              /*start_from_incoming=*/false,
              it == kScenario.end() ? "net unreachable" : it->second);
 }
 
 std::optional<std::vector<std::uint8_t>>
 GeneratedIcmpResponder::on_time_exceeded(const sim::ResponderContext& ctx) {
-  return run(fn_name("Time Exceeded Message", "sender"), ctx,
-             /*start_from_incoming=*/false, "time to live exceeded in transit");
+  return run(kTimeExceeded, ctx, /*start_from_incoming=*/false,
+             "time to live exceeded in transit");
 }
 
 std::optional<std::vector<std::uint8_t>>
 GeneratedIcmpResponder::on_parameter_problem(const sim::ResponderContext& ctx,
                                              std::uint8_t pointer) {
-  return run(fn_name("Parameter Problem Message", "sender"), ctx,
-             /*start_from_incoming=*/false, "pointer indicates the error",
-             [pointer](SchemaExecEnv& env) { env.set_error_pointer(pointer); });
+  return run(
+      kParameterProblem, ctx, /*start_from_incoming=*/false,
+      "pointer indicates the error",
+      [pointer](SchemaExecEnv& env) { env.set_error_pointer(pointer); });
 }
 
 std::optional<std::vector<std::uint8_t>>
 GeneratedIcmpResponder::on_source_quench(const sim::ResponderContext& ctx) {
-  return run(fn_name("Source Quench Message", "sender"), ctx,
-             /*start_from_incoming=*/false, "source quench");
+  return run(kSourceQuench, ctx, /*start_from_incoming=*/false,
+             "source quench");
 }
 
 std::optional<std::vector<std::uint8_t>> GeneratedIcmpResponder::on_redirect(
     const sim::ResponderContext& ctx, net::IpAddr gateway) {
-  return run(fn_name("Redirect Message", "sender"), ctx,
-             /*start_from_incoming=*/false, "redirect datagrams for the host",
-             [gateway](SchemaExecEnv& env) { env.set_better_gateway(gateway); });
+  return run(
+      kRedirect, ctx, /*start_from_incoming=*/false,
+      "redirect datagrams for the host",
+      [gateway](SchemaExecEnv& env) { env.set_better_gateway(gateway); });
 }
 
 }  // namespace sage::runtime

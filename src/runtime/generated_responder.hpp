@@ -8,48 +8,34 @@
 // Nothing here hard-codes protocol behaviour — if the generated code is
 // wrong or a function is missing, the interop tests fail.
 //
-// Each registered function executes on one of two backends
-// (vm::ExecBackend): the threaded-code VM (default — the function is
-// compiled once at registration, runtime/vm) or the tree-walking
-// reference interpreter. Both produce byte-identical replies and
-// identical diagnostics; tests/test_vm_differential.cpp enforces it.
+// Dispatch (event -> generated function, backend choice, diagnostics)
+// lives in runtime::HandlerTable, shared with GeneratedIcmp6Responder.
 #pragma once
 
-#include <functional>
-#include <map>
 #include <optional>
 #include <string>
 #include <vector>
 
 #include "codegen/ir.hpp"
-#include "runtime/schema_env.hpp"
-#include "runtime/interpreter.hpp"
+#include "runtime/handler_table.hpp"
 #include "runtime/vm/exec.hpp"
-#include "runtime/vm/program.hpp"
 #include "sim/responder.hpp"
 
 namespace sage::runtime {
 
-class GeneratedIcmpResponder : public sim::IcmpResponder {
+class GeneratedIcmpResponder : public sim::IcmpResponder,
+                               private HandlerTable {
  public:
   explicit GeneratedIcmpResponder(
-      vm::ExecBackend backend = vm::ExecBackend::kThreaded)
-      : backend_(backend) {}
+      vm::ExecBackend backend = vm::ExecBackend::kThreaded);
 
-  /// Register a generated function (keyed by its context-derived name).
-  /// On the threaded backend this is where the one-time compilation to
-  /// flat code happens.
-  void add_function(codegen::GeneratedFunction fn);
-
-  vm::ExecBackend backend() const { return backend_; }
-
-  bool has_function(const std::string& name) const {
-    return functions_.count(name) != 0;
-  }
-  std::size_t function_count() const { return functions_.size(); }
-
-  /// Execution diagnostics from the most recent event (for tests).
-  const std::vector<std::string>& last_errors() const { return last_errors_; }
+  // Registration (add_function), introspection, and the diagnostics of
+  // the most recent event (last_errors) come from the handler table.
+  using HandlerTable::add_function;
+  using HandlerTable::backend;
+  using HandlerTable::function_count;
+  using HandlerTable::has_function;
+  using HandlerTable::last_errors;
 
   // -- sim::IcmpResponder ----------------------------------------------------
   std::optional<std::vector<std::uint8_t>> on_echo_request(
@@ -69,25 +55,6 @@ class GeneratedIcmpResponder : public sim::IcmpResponder {
   std::optional<std::vector<std::uint8_t>> on_redirect(
       const sim::ResponderContext& ctx, net::IpAddr gateway) override;
 
- private:
-  /// One registered handler: the IR tree (reference backend, and the
-  /// fallback when a program exceeds VM limits) plus its compiled form.
-  struct Entry {
-    codegen::GeneratedFunction fn;
-    std::optional<vm::Program> program;
-  };
-
-  /// Run `function_name` in an env configured by `setup`; nullopt if the
-  /// function is missing or execution failed.
-  std::optional<std::vector<std::uint8_t>> run(
-      const std::string& function_name, const sim::ResponderContext& ctx,
-      bool start_from_incoming, const std::string& scenario,
-      const std::function<void(SchemaExecEnv&)>& setup = nullptr);
-
-  vm::ExecBackend backend_;
-  std::map<std::string, Entry> functions_;
-  Interpreter interpreter_;
-  std::vector<std::string> last_errors_;
 };
 
 }  // namespace sage::runtime

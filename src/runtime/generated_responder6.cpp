@@ -1,63 +1,36 @@
 #include "runtime/generated_responder6.hpp"
 
-#include "codegen/generator.hpp"
+#include <map>
 
 namespace sage::runtime {
 
 namespace {
 
-/// Function names for the five RFC 4443 messages, derived the same way
-/// the generator derives them.
-std::string fn_name(const std::string& message, const std::string& role) {
-  return codegen::CodeGenerator::function_name("ICMP6", message, role);
-}
+/// The five RFC 4443 events, in the order of the table built below.
+enum Event : std::size_t {
+  kEcho,
+  kDestinationUnreachable,
+  kPacketTooBig,
+  kTimeExceeded,
+  kParameterProblem,
+};
 
 }  // namespace
 
-void GeneratedIcmp6Responder::add_function(codegen::GeneratedFunction fn) {
-  Entry entry;
-  if (backend_ == vm::ExecBackend::kThreaded) {
-    entry.program = vm::compile(fn);
-  }
-  entry.fn = std::move(fn);
-  functions_[entry.fn.name] = std::move(entry);
-}
-
-std::optional<std::vector<std::uint8_t>> GeneratedIcmp6Responder::run(
-    const std::string& function_name, const sim::Responder6Context& ctx,
-    bool start_from_incoming, const std::string& scenario,
-    const std::function<void(SchemaExecEnv&)>& setup) {
-  last_errors_.clear();
-  const auto it = functions_.find(function_name);
-  if (it == functions_.end()) {
-    last_errors_.push_back("no generated function named " + function_name);
-    return std::nullopt;
-  }
-  auto env = SchemaExecEnv::icmp6(ctx.triggering_packet, ctx.own_address,
-                                  start_from_incoming);
-  if (!env.valid()) {
-    last_errors_.push_back("triggering packet is not decodable IPv6");
-    return std::nullopt;
-  }
-  env.set_scenario(scenario);
-  if (setup) setup(env);
-
-  const Entry& entry = it->second;
-  const ExecResult result =
-      entry.program.has_value()
-          ? vm::execute(*entry.program, env)
-          : interpreter_.run(entry.fn.body, env);
-  if (!result.ok) {
-    last_errors_ = result.errors;
-    return std::nullopt;
-  }
-  return env.finish_reply();
-}
+GeneratedIcmp6Responder::GeneratedIcmp6Responder(vm::ExecBackend backend)
+    : HandlerTable(backend, "ICMP6",
+                   {
+                       {"Echo or Echo Reply Message", "receiver"},
+                       {"Destination Unreachable Message", "sender"},
+                       {"Packet Too Big Message", "sender"},
+                       {"Time Exceeded Message", "sender"},
+                       {"Parameter Problem Message", "sender"},
+                   },
+                   "triggering packet is not decodable IPv6") {}
 
 std::optional<std::vector<std::uint8_t>>
 GeneratedIcmp6Responder::on_echo_request(const sim::Responder6Context& ctx) {
-  return run(fn_name("Echo or Echo Reply Message", "receiver"), ctx,
-             /*start_from_incoming=*/true, "echo reply message");
+  return run(kEcho, ctx, /*start_from_incoming=*/true, "echo reply message");
 }
 
 std::optional<std::vector<std::uint8_t>>
@@ -71,24 +44,23 @@ GeneratedIcmp6Responder::on_destination_unreachable(
       {4, "port unreachable"},
   };
   const auto it = kScenario.find(code);
-  return run(fn_name("Destination Unreachable Message", "sender"), ctx,
-             /*start_from_incoming=*/false,
-             it == kScenario.end() ? "no route to destination" : it->second);
+  return run(
+      kDestinationUnreachable, ctx, /*start_from_incoming=*/false,
+      it == kScenario.end() ? "no route to destination" : it->second);
 }
 
 std::optional<std::vector<std::uint8_t>>
 GeneratedIcmp6Responder::on_packet_too_big(const sim::Responder6Context& ctx) {
-  return run(fn_name("Packet Too Big Message", "sender"), ctx,
-             /*start_from_incoming=*/false, "packet too big");
+  return run(kPacketTooBig, ctx, /*start_from_incoming=*/false,
+             "packet too big");
 }
 
 std::optional<std::vector<std::uint8_t>>
 GeneratedIcmp6Responder::on_time_exceeded(const sim::Responder6Context& ctx,
                                           std::uint8_t code) {
-  return run(fn_name("Time Exceeded Message", "sender"), ctx,
-             /*start_from_incoming=*/false,
+  return run(kTimeExceeded, ctx, /*start_from_incoming=*/false,
              code == 1 ? "fragment reassembly time exceeded"
-                       : "hop limit exceeded in transit");
+                  : "hop limit exceeded in transit");
 }
 
 std::optional<std::vector<std::uint8_t>>
@@ -101,11 +73,11 @@ GeneratedIcmp6Responder::on_parameter_problem(const sim::Responder6Context& ctx,
       {2, "unrecognized ipv6 option encountered"},
   };
   const auto it = kScenario.find(code);
-  return run(fn_name("Parameter Problem Message", "sender"), ctx,
-             /*start_from_incoming=*/false,
-             it == kScenario.end() ? "erroneous header field encountered"
-                                   : it->second,
-             [pointer](SchemaExecEnv& env) { env.set_error_pointer(pointer); });
+  return run(
+      kParameterProblem, ctx, /*start_from_incoming=*/false,
+      it == kScenario.end() ? "erroneous header field encountered"
+                            : it->second,
+      [pointer](SchemaExecEnv& env) { env.set_error_pointer(pointer); });
 }
 
 }  // namespace sage::runtime

@@ -1,49 +1,39 @@
 // GeneratedIcmp6Responder: runs SAGE-generated ICMPv6 code (from the
 // revised RFC 4443 corpus) behind the sim::Icmp6Responder boundary.
 //
-// Structurally identical to GeneratedIcmpResponder: each event
-// dispatches to the generated packet-handling function for the
-// corresponding RFC 4443 message and role, on either execution backend
-// (threaded-code VM or tree-walking interpreter). Nothing here
-// hard-codes protocol behaviour — if the generated code is wrong or a
-// function is missing, the differential fuzzer diverges.
+// The ICMPv6 twin of GeneratedIcmpResponder, sharing its dispatch
+// (runtime::HandlerTable): each event runs the generated
+// packet-handling function for the corresponding RFC 4443 message and
+// role, on either execution backend (threaded-code VM or tree-walking
+// interpreter). Nothing here hard-codes protocol behaviour — if the
+// generated code is wrong or a function is missing, the differential
+// fuzzer diverges.
 #pragma once
 
-#include <functional>
-#include <map>
 #include <optional>
 #include <string>
 #include <vector>
 
 #include "codegen/ir.hpp"
-#include "runtime/interpreter.hpp"
-#include "runtime/schema_env.hpp"
+#include "runtime/handler_table.hpp"
 #include "runtime/vm/exec.hpp"
-#include "runtime/vm/program.hpp"
 #include "sim/responder6.hpp"
 
 namespace sage::runtime {
 
-class GeneratedIcmp6Responder : public sim::Icmp6Responder {
+class GeneratedIcmp6Responder : public sim::Icmp6Responder,
+                                private HandlerTable {
  public:
   explicit GeneratedIcmp6Responder(
-      vm::ExecBackend backend = vm::ExecBackend::kThreaded)
-      : backend_(backend) {}
+      vm::ExecBackend backend = vm::ExecBackend::kThreaded);
 
-  /// Register a generated function (keyed by its context-derived name).
-  /// On the threaded backend this is where the one-time compilation to
-  /// flat code happens.
-  void add_function(codegen::GeneratedFunction fn);
-
-  vm::ExecBackend backend() const { return backend_; }
-
-  bool has_function(const std::string& name) const {
-    return functions_.count(name) != 0;
-  }
-  std::size_t function_count() const { return functions_.size(); }
-
-  /// Execution diagnostics from the most recent event (for tests).
-  const std::vector<std::string>& last_errors() const { return last_errors_; }
+  // Registration (add_function), introspection, and the diagnostics of
+  // the most recent event (last_errors) come from the handler table.
+  using HandlerTable::add_function;
+  using HandlerTable::backend;
+  using HandlerTable::function_count;
+  using HandlerTable::has_function;
+  using HandlerTable::last_errors;
 
   // -- sim::Icmp6Responder ---------------------------------------------------
   std::optional<std::vector<std::uint8_t>> on_echo_request(
@@ -58,25 +48,6 @@ class GeneratedIcmp6Responder : public sim::Icmp6Responder {
       const sim::Responder6Context& ctx, std::uint8_t code,
       std::uint8_t pointer) override;
 
- private:
-  /// One registered handler: the IR tree (reference backend, and the
-  /// fallback when a program exceeds VM limits) plus its compiled form.
-  struct Entry {
-    codegen::GeneratedFunction fn;
-    std::optional<vm::Program> program;
-  };
-
-  /// Run `function_name` in an env configured by `setup`; nullopt if the
-  /// function is missing or execution failed.
-  std::optional<std::vector<std::uint8_t>> run(
-      const std::string& function_name, const sim::Responder6Context& ctx,
-      bool start_from_incoming, const std::string& scenario,
-      const std::function<void(SchemaExecEnv&)>& setup = nullptr);
-
-  vm::ExecBackend backend_;
-  std::map<std::string, Entry> functions_;
-  Interpreter interpreter_;
-  std::vector<std::string> last_errors_;
 };
 
 }  // namespace sage::runtime

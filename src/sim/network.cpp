@@ -206,115 +206,61 @@ Network::NodeRef Network::lookup_node(const std::string& name) {
   return it == node_by_name_.end() ? NodeRef{} : it->second;
 }
 
-void Network::send_from_host(const std::string& host_name,
-                             std::span<const std::uint8_t> packet) {
-  if (mode_ == DeliveryMode::kReference) {
-    transmit(host_name, {packet.begin(), packet.end()}, kHopBudget);
-    return;
-  }
-  ensure_index();
-  const net::WireImage image = intern(packet);
+Router* Network::injection_gateway(NodeRef from) {
+  Router* via = from.host != nullptr ? from.host->gateway_ : nullptr;
+  return via != nullptr ? via : router();
+}
+
+void Network::inject(Pending pending) {
   if (queue_.empty()) {
     // Injection fast path: nothing is scheduled, so the zero-delay part
     // of the cascade runs cut-through; any latency hops land in the
     // queue and are drained below.
-    ev_transmit(lookup_node(host_name), image, kHopBudget);
+    process(std::move(pending));
     if (!queue_.empty()) run();
     return;
   }
-  queue_.push(now_ns_, Pending{Pending::Kind::kTransmit, lookup_node(host_name),
-                               nullptr, image, kHopBudget});
+  queue_.push(now_ns_, std::move(pending));
   run();
 }
 
-void Network::send_from_host(Host& host, std::span<const std::uint8_t> packet) {
-  if (mode_ == DeliveryMode::kReference) {
-    transmit(host.name(), {packet.begin(), packet.end()}, kHopBudget);
-    return;
-  }
+void Network::send_from_host(const std::string& host_name,
+                             std::span<const std::uint8_t> packet) {
   ensure_index();
-  const net::WireImage image = intern(packet);
-  if (queue_.empty()) {
-    ev_transmit(NodeRef{&host, nullptr}, image, kHopBudget);
-    if (!queue_.empty()) run();
-    return;
-  }
-  queue_.push(now_ns_, Pending{Pending::Kind::kTransmit, NodeRef{&host, nullptr},
-                               nullptr, image, kHopBudget});
-  run();
+  inject(Pending{Pending::Kind::kTransmit, lookup_node(host_name), nullptr,
+                 intern(packet), kHopBudget});
+}
+
+void Network::send_from_host(Host& host, std::span<const std::uint8_t> packet) {
+  ensure_index();
+  inject(Pending{Pending::Kind::kTransmit, NodeRef{&host, nullptr}, nullptr,
+                 intern(packet), kHopBudget});
 }
 
 void Network::send_from_host_via_router(const std::string& host_name,
                                         std::span<const std::uint8_t> packet) {
-  if (mode_ == DeliveryMode::kReference) {
-    ++events_processed_;
-    capture_.push_back(CaptureEntry{host_name, intern(packet)});
-    Host* host = find_host(host_name);
-    Router* r = host != nullptr ? router_serving(host->address()) : nullptr;
-    if (r == nullptr) r = router();
-    if (r != nullptr) {
-      route_through_router(*r, {packet.begin(), packet.end()}, kHopBudget);
-    }
-    return;
-  }
   ensure_index();
-  NodeRef from = lookup_node(host_name);
-  Router* via = from.host != nullptr ? gateway_of(*from.host) : nullptr;
-  if (via == nullptr) via = router();
+  const NodeRef from = lookup_node(host_name);
+  Router* via = injection_gateway(from);
   if (via == nullptr) return;
-  const net::WireImage image = intern(packet);
-  if (queue_.empty()) {
-    ++events_processed_;
-    capture_.push_back(CaptureEntry{from.name(), image, now_ns_});
-    ev_route(*via, image, kHopBudget);
-    if (!queue_.empty()) run();
-    return;
-  }
-  queue_.push(now_ns_,
-              Pending{Pending::Kind::kInjectVia, from, via, image, kHopBudget});
-  run();
+  inject(Pending{Pending::Kind::kInjectVia, from, via, intern(packet),
+                 kHopBudget});
 }
 
 void Network::schedule_from_host(const std::string& host_name,
                                  std::span<const std::uint8_t> packet,
                                  std::uint64_t delay_ns, bool via_router) {
-  if (mode_ == DeliveryMode::kReference) {
-    // No clock on the reference kernel: park in FIFO order; run() replays
-    // injections sequentially, which matches the event kernel whenever
-    // callers schedule with nondecreasing delays.
-    deferred_.push_back({host_name, {packet.begin(), packet.end()}, via_router});
-    return;
-  }
   ensure_index();
-  NodeRef from = lookup_node(host_name);
-  const net::WireImage image = intern(packet);
-  if (via_router) {
-    Router* via = from.host != nullptr ? gateway_of(*from.host) : nullptr;
-    if (via == nullptr) via = router();
-    if (via == nullptr) return;
-    queue_.push(now_ns_ + delay_ns, Pending{Pending::Kind::kInjectVia, from,
-                                            via, image, kHopBudget});
-    return;
-  }
-  queue_.push(now_ns_ + delay_ns, Pending{Pending::Kind::kTransmit, from,
-                                          nullptr, image, kHopBudget});
+  const NodeRef from = lookup_node(host_name);
+  Router* via = via_router ? injection_gateway(from) : nullptr;
+  if (via_router && via == nullptr) return;
+  queue_.push(now_ns_ + delay_ns,
+              Pending{via_router ? Pending::Kind::kInjectVia
+                                 : Pending::Kind::kTransmit,
+                      from, via, intern(packet), kHopBudget});
 }
 
 std::size_t Network::run() {
-  if (mode_ == DeliveryMode::kReference) {
-    std::size_t processed = 0;
-    std::vector<DeferredInjection> batch;
-    batch.swap(deferred_);
-    for (auto& d : batch) {
-      ++processed;
-      if (d.via_router) {
-        send_from_host_via_router(d.host, std::move(d.packet));
-      } else {
-        send_from_host(d.host, std::move(d.packet));
-      }
-    }
-    return processed;
-  }
   ensure_index();
   std::size_t processed = 0;
   while (!queue_.empty()) {
@@ -329,20 +275,20 @@ std::size_t Network::run() {
 void Network::process(Pending pending) {
   switch (pending.kind) {
     case Pending::Kind::kTransmit:
-      // events_processed_ is counted inside ev_transmit, so cut-through
+      // events_processed_ is counted inside transmit(), so cut-through
       // and queued transmissions tally identically.
-      ev_transmit(pending.from, std::move(pending.packet), pending.hop_budget);
+      transmit(pending.from, std::move(pending.packet), pending.hop_budget);
       return;
     case Pending::Kind::kRouteVia:
-      // Counted at the handoff site (ev_route), matching the reference
-      // kernel's static-route accounting.
-      ev_route(*pending.via, std::move(pending.packet), pending.hop_budget);
+      // Counted at the handoff site (route_through_router).
+      route_through_router(*pending.via, std::move(pending.packet),
+                           pending.hop_budget);
       return;
     case Pending::Kind::kInjectVia:
       ++events_processed_;
       capture_.push_back(
           CaptureEntry{pending.from.name(), pending.packet, now_ns_});
-      ev_route(*pending.via, pending.packet, pending.hop_budget);
+      route_through_router(*pending.via, pending.packet, pending.hop_budget);
       return;
   }
 }
@@ -455,16 +401,13 @@ std::vector<std::uint8_t> Network::capture_to_pcap() const {
 }
 
 // ---------------------------------------------------------------------------
-// Event kernel. Mirrors the reference path decision-for-decision (every
-// branch below has a twin in transmit()/deliver_to_host()/
-// route_through_router()); the differences are mechanical: node lookups
-// go through the hash indexes, the sending entity rides along in the
-// event instead of being re-resolved from its name each hop, and every
-// new transmission becomes a queue event stamped now + hop_delay()
-// rather than a recursive call. At zero link delay each injected packet
-// unfolds as a linear chain of events popped in schedule order, which is
-// exactly the reference recursion order — that is the structural
-// argument behind the byte-identical capture goldens.
+// Delivery. Node lookups go through the hash indexes, the sending entity
+// rides along in the event instead of being re-resolved from its name
+// each hop, and every new transmission is either dispatched inline (an
+// ideal wire) or becomes a queue event stamped now + hop_delay(). At zero
+// link delay each injected packet unfolds as one depth-first chain, the
+// order the seed's synchronous recursion produced — the capture-log
+// goldens in tests/test_sim_kernel.cpp hold it there.
 //
 // Packets are immutable arena images (net::WireImage): captures, inbox
 // entries, and queued events alias the same bytes, so a hop moves two
@@ -473,8 +416,8 @@ std::vector<std::uint8_t> Network::capture_to_pcap() const {
 // earlier captures already alias.
 // ---------------------------------------------------------------------------
 
-void Network::ev_transmit(NodeRef from, net::WireImage packet, int hop_budget,
-                          const net::Ipv4Header* pre) {
+void Network::transmit(NodeRef from, net::WireImage packet, int hop_budget,
+                       const net::Ipv4Header* pre) {
   if (hop_budget <= 0) return;  // loop protection
   ++events_processed_;
   capture_.push_back(CaptureEntry{from.name(), packet, now_ns_});
@@ -501,14 +444,14 @@ void Network::ev_transmit(NodeRef from, net::WireImage packet, int hop_budget,
          from_host->address().same_subnet(dst_host->address(),
                                           from_host->prefix_len()));
     if (direct) {
-      ev_deliver(*dst_host, packet, hop_budget, hdr);
+      deliver_to_host(*dst_host, packet, hop_budget, hdr);
       return;
     }
   }
   if (from_host != nullptr) {
-    Router* gateway = gateway_of(*from_host);
+    Router* gateway = from_host->gateway_;
     if (gateway != nullptr) {
-      ev_route(*gateway, packet, hop_budget, &hdr);
+      route_through_router(*gateway, packet, hop_budget, &hdr);
     }
     return;
   }
@@ -520,28 +463,28 @@ void Network::ev_transmit(NodeRef from, net::WireImage packet, int hop_budget,
     }
     // Router-originated traffic (ICMP errors/replies) for a non-attached
     // destination consults the router's own tables.
-    ev_route(*from_router, packet, hop_budget - 1, &hdr);
+    route_through_router(*from_router, packet, hop_budget - 1, &hdr);
   }
 }
 
-void Network::ev_reply(NodeRef from,
-                       std::optional<std::vector<std::uint8_t>> reply,
-                       int hop_budget) {
+void Network::send_reply(NodeRef from,
+                         std::optional<std::vector<std::uint8_t>> reply,
+                         int hop_budget) {
   if (!reply) return;
   // Responders build replies as owned vectors; intern once here so the
   // rest of the reply's journey aliases arena bytes.
   const net::WireImage image = intern(*reply);
   const std::uint64_t at = now_ns_ + hop_delay(image);
   if (at == now_ns_) {  // ideal wire: dispatch cut-through
-    ev_transmit(from, image, hop_budget - 1);
+    transmit(from, image, hop_budget - 1);
     return;
   }
   queue_.push(at, Pending{Pending::Kind::kTransmit, from, nullptr, image,
                           hop_budget - 1});
 }
 
-void Network::ev_deliver(Host& host, net::WireImage packet, int hop_budget,
-                         const net::Ipv4Header& hdr) {
+void Network::deliver_to_host(Host& host, net::WireImage packet,
+                              int hop_budget, const net::Ipv4Header& hdr) {
   const NodeRef self{&host, nullptr};
   const std::span<const std::uint8_t> payload(
       packet.data() + hdr.header_length(), packet.size() - hdr.header_length());
@@ -552,14 +495,14 @@ void Network::ev_deliver(Host& host, net::WireImage packet, int hop_budget,
     if (icmp && host.responder_ != nullptr && icmp_request_well_formed(*icmp)) {
       switch (icmp->type) {
         case net::IcmpType::kEcho:
-          ev_reply(self, host.responder_->on_echo_request(ctx), hop_budget);
+          send_reply(self, host.responder_->on_echo_request(ctx), hop_budget);
           return;
         case net::IcmpType::kTimestamp:
-          ev_reply(self, host.responder_->on_timestamp_request(ctx),
+          send_reply(self, host.responder_->on_timestamp_request(ctx),
                    hop_budget);
           return;
         case net::IcmpType::kInformationRequest:
-          ev_reply(self, host.responder_->on_information_request(ctx),
+          send_reply(self, host.responder_->on_information_request(ctx),
                    hop_budget);
           return;
         default:
@@ -582,7 +525,7 @@ void Network::ev_deliver(Host& host, net::WireImage packet, int hop_budget,
       }
       // Closed port: RFC 792 destination unreachable, code 3.
       if (host.responder_ != nullptr) {
-        ev_reply(self, host.responder_->on_destination_unreachable(ctx, 3),
+        send_reply(self, host.responder_->on_destination_unreachable(ctx, 3),
                  hop_budget);
         return;
       }
@@ -592,8 +535,8 @@ void Network::ev_deliver(Host& host, net::WireImage packet, int hop_budget,
   host.inbox_.push_back(packet);
 }
 
-void Network::ev_route(Router& r, net::WireImage packet, int hop_budget,
-                       const net::Ipv4Header* pre) {
+void Network::route_through_router(Router& r, net::WireImage packet,
+                                   int hop_budget, const net::Ipv4Header* pre) {
   if (hop_budget <= 0) return;
   std::optional<net::Ipv4Header> parsed;
   if (pre == nullptr) {
@@ -627,13 +570,15 @@ void Network::ev_route(Router& r, net::WireImage packet, int hop_budget,
       if (icmp && icmp_request_well_formed(*icmp)) {
         switch (icmp->type) {
           case net::IcmpType::kEcho:
-            ev_reply(self, resp->on_echo_request(make_ctx()), hop_budget);
+            send_reply(self, resp->on_echo_request(make_ctx()), hop_budget);
             return;
           case net::IcmpType::kTimestamp:
-            ev_reply(self, resp->on_timestamp_request(make_ctx()), hop_budget);
+            send_reply(self, resp->on_timestamp_request(make_ctx()),
+                       hop_budget);
             return;
           case net::IcmpType::kInformationRequest:
-            ev_reply(self, resp->on_information_request(make_ctx()), hop_budget);
+            send_reply(self, resp->on_information_request(make_ctx()),
+                       hop_budget);
             return;
           default:
             return;  // errors/replies addressed to the router are consumed
@@ -649,7 +594,7 @@ void Network::ev_route(Router& r, net::WireImage packet, int hop_budget,
   // pointer (1) is the byte offset of the TOS field in the IP header.
   if (r.behavior_.require_tos_zero && hdr.tos != 0) {
     if (resp != nullptr) {
-      ev_reply(self, resp->on_parameter_problem(make_ctx(), 1), hop_budget);
+      send_reply(self, resp->on_parameter_problem(make_ctx(), 1), hop_budget);
     }
     return;
   }
@@ -660,7 +605,8 @@ void Network::ev_route(Router& r, net::WireImage packet, int hop_budget,
     // Appendix A, Destination Unreachable: no route (code 0, net
     // unreachable).
     if (resp != nullptr) {
-      ev_reply(self, resp->on_destination_unreachable(make_ctx(), 0), hop_budget);
+      send_reply(self, resp->on_destination_unreachable(make_ctx(), 0),
+                 hop_budget);
     }
     return;
   }
@@ -668,7 +614,7 @@ void Network::ev_route(Router& r, net::WireImage packet, int hop_budget,
   // Appendix A, Time Exceeded: TTL would reach zero in transit.
   if (hdr.ttl <= 1) {
     if (resp != nullptr) {
-      ev_reply(self, resp->on_time_exceeded(make_ctx()), hop_budget);
+      send_reply(self, resp->on_time_exceeded(make_ctx()), hop_budget);
     }
     return;
   }
@@ -678,7 +624,7 @@ void Network::ev_route(Router& r, net::WireImage packet, int hop_budget,
   if (egress && r.behavior_.full_outbound_interface &&
       *r.behavior_.full_outbound_interface == *egress) {
     if (resp != nullptr) {
-      ev_reply(self, resp->on_source_quench(make_ctx()), hop_budget);
+      send_reply(self, resp->on_source_quench(make_ctx()), hop_budget);
     }
     return;
   }
@@ -687,7 +633,7 @@ void Network::ev_route(Router& r, net::WireImage packet, int hop_budget,
   // the sender's own subnet, so the sender should go direct.
   if (egress && ingress && *ingress == *egress) {
     if (resp != nullptr) {
-      ev_reply(self, resp->on_redirect(make_ctx(), hdr.dst), hop_budget);
+      send_reply(self, resp->on_redirect(make_ctx(), hdr.dst), hop_budget);
     }
     return;
   }
@@ -716,7 +662,7 @@ void Network::ev_route(Router& r, net::WireImage packet, int hop_budget,
     const auto next_it = router_by_addr_.find(route->next_hop.value());
     if (next_it != router_by_addr_.end()) {
       if (at == now_ns_) {  // ideal wire: hand off cut-through
-        ev_route(*next_it->second, patched, hop_budget - 1, &fwd);
+        route_through_router(*next_it->second, patched, hop_budget - 1, &fwd);
         return;
       }
       queue_.push(at, Pending{Pending::Kind::kRouteVia, self, next_it->second,
@@ -725,241 +671,15 @@ void Network::ev_route(Router& r, net::WireImage packet, int hop_budget,
     return;
   }
   if (at == now_ns_) {  // ideal wire: transmit cut-through
-    ev_transmit(self, patched, hop_budget - 1, &fwd);
+    transmit(self, patched, hop_budget - 1, &fwd);
     return;
   }
   queue_.push(at, Pending{Pending::Kind::kTransmit, self, nullptr, patched,
                           hop_budget - 1});
 }
 
-// ---------------------------------------------------------------------------
-// Reference kernel: the original synchronous recursive delivery,
-// preserved unchanged (linear name scans included) as the differential
-// baseline for the event kernel — the same role reference_mode plays for
-// the parser. Only events_processed_ bookkeeping was added so the
-// benchmark can compare like units across kernels, and — since capture/
-// inbox/UDP storage is now view-based — bytes are interned into the run
-// arena at exactly the pushes that used to copy vectors.
-// ---------------------------------------------------------------------------
-
-void Network::transmit(const std::string& from_node,
-                       std::vector<std::uint8_t> packet, int hop_budget) {
-  if (hop_budget <= 0) return;  // loop protection
-  ++events_processed_;
-  capture_.push_back(CaptureEntry{from_node, intern(packet)});
-
-  const auto hdr = net::Ipv4Header::parse(packet);
-  if (!hdr) return;
-
-  Host* from_host = find_host(from_node);
-  Router* from_router = find_router(from_node);
-
-  if (Host* dst_host = find_host_by_address(hdr->dst)) {
-    // A router delivers onto any of its own subnets; a host reaches
-    // same-subnet neighbours directly.
-    const bool direct =
-        (from_router != nullptr &&
-         from_router->interface_for(dst_host->address()).has_value()) ||
-        (from_host != nullptr &&
-         from_host->address().same_subnet(dst_host->address(),
-                                          from_host->prefix_len()));
-    if (direct) {
-      deliver_to_host(*dst_host, std::move(packet), hop_budget);
-      return;
-    }
-  }
-  if (from_host != nullptr) {
-    Router* gateway = router_serving(from_host->address());
-    if (gateway == nullptr) gateway = router();
-    if (gateway != nullptr) {
-      route_through_router(*gateway, std::move(packet), hop_budget);
-    }
-    return;
-  }
-  if (from_router != nullptr) {
-    if (from_router->interface_for(hdr->dst)) {
-      // The destination subnet is directly attached but no such host
-      // exists: the packet falls off the simulated edge.
-      return;
-    }
-    // Router-originated traffic (ICMP errors/replies) for a non-attached
-    // destination consults the router's own tables.
-    route_through_router(*from_router, std::move(packet), hop_budget - 1);
-  }
-}
-
-void Network::send_reply(const std::string& from_node,
-                         std::optional<std::vector<std::uint8_t>> reply,
-                         int hop_budget) {
-  if (!reply) return;
-  transmit(from_node, std::move(*reply), hop_budget - 1);
-}
-
-void Network::deliver_to_host(Host& host, std::vector<std::uint8_t> packet,
-                              int hop_budget) {
-  const auto hdr = net::Ipv4Header::parse(packet);
-  if (!hdr) return;
-  const std::span<const std::uint8_t> payload(
-      packet.data() + hdr->header_length(),
-      packet.size() - hdr->header_length());
-  const ResponderContext ctx{host.address(), packet};
-
-  if (hdr->protocol == static_cast<std::uint8_t>(net::IpProto::kIcmp)) {
-    const auto icmp = net::IcmpMessage::parse(payload);
-    if (icmp && host.responder_ != nullptr && icmp_request_well_formed(*icmp)) {
-      switch (icmp->type) {
-        case net::IcmpType::kEcho:
-          send_reply(host.name(), host.responder_->on_echo_request(ctx), hop_budget);
-          return;
-        case net::IcmpType::kTimestamp:
-          send_reply(host.name(), host.responder_->on_timestamp_request(ctx),
-                     hop_budget);
-          return;
-        case net::IcmpType::kInformationRequest:
-          send_reply(host.name(), host.responder_->on_information_request(ctx),
-                     hop_budget);
-          return;
-        default:
-          break;  // replies/errors go to the inbox below
-      }
-    }
-    host.inbox_.push_back(intern(packet));
-    return;
-  }
-
-  if (hdr->protocol == static_cast<std::uint8_t>(net::IpProto::kUdp)) {
-    const auto udp = net::UdpHeader::parse(payload);
-    if (udp) {
-      auto it = host.udp_sockets_.find(udp->dst_port);
-      if (it != host.udp_sockets_.end()) {
-        it->second.received.push_back(intern(payload.subspan(8)));
-        return;
-      }
-      // Closed port: RFC 792 destination unreachable, code 3.
-      if (host.responder_ != nullptr) {
-        send_reply(host.name(),
-                   host.responder_->on_destination_unreachable(ctx, 3),
-                   hop_budget);
-        return;
-      }
-    }
-  }
-
-  host.inbox_.push_back(intern(packet));
-}
-
-void Network::route_through_router(Router& r, std::vector<std::uint8_t> packet,
-                                   int hop_budget) {
-  if (hop_budget <= 0) return;
-  const auto hdr = net::Ipv4Header::parse(packet);
-  if (!hdr) return;
-
-  const auto ingress = r.interface_for(hdr->src);
-  const net::IpAddr router_addr =
-      ingress ? r.interfaces()[*ingress].address
-              : (r.interfaces().empty() ? net::IpAddr{} : r.interfaces()[0].address);
-  const ResponderContext ctx{router_addr, packet};
-  IcmpResponder* resp = r.responder_;
-
-  // Packets addressed to the router itself: ICMP requests get answered.
-  if (r.owns_address(hdr->dst)) {
-    if (hdr->protocol == static_cast<std::uint8_t>(net::IpProto::kIcmp) &&
-        resp != nullptr) {
-      const std::span<const std::uint8_t> payload(
-          packet.data() + hdr->header_length(),
-          packet.size() - hdr->header_length());
-      const auto icmp = net::IcmpMessage::parse(payload);
-      if (icmp && icmp_request_well_formed(*icmp)) {
-        switch (icmp->type) {
-          case net::IcmpType::kEcho:
-            send_reply(r.name(), resp->on_echo_request(ctx), hop_budget);
-            return;
-          case net::IcmpType::kTimestamp:
-            send_reply(r.name(), resp->on_timestamp_request(ctx), hop_budget);
-            return;
-          case net::IcmpType::kInformationRequest:
-            send_reply(r.name(), resp->on_information_request(ctx), hop_budget);
-            return;
-          default:
-            return;  // errors/replies addressed to the router are consumed
-        }
-      }
-    }
-    return;
-  }
-
-  if (!r.behavior_.icmp_errors_enabled) resp = nullptr;
-
-  // Appendix A, Parameter Problem: unsupported type-of-service. The
-  // pointer (1) is the byte offset of the TOS field in the IP header.
-  if (r.behavior_.require_tos_zero && hdr->tos != 0) {
-    if (resp != nullptr) {
-      send_reply(r.name(), resp->on_parameter_problem(ctx, 1), hop_budget);
-    }
-    return;
-  }
-
-  const auto egress = r.interface_for(hdr->dst);
-  const StaticRoute* route = egress ? nullptr : r.route_for(hdr->dst);
-  if (!egress && route == nullptr) {
-    // Appendix A, Destination Unreachable: no route (code 0, net
-    // unreachable).
-    if (resp != nullptr) {
-      send_reply(r.name(), resp->on_destination_unreachable(ctx, 0), hop_budget);
-    }
-    return;
-  }
-
-  // Appendix A, Time Exceeded: TTL would reach zero in transit.
-  if (hdr->ttl <= 1) {
-    if (resp != nullptr) {
-      send_reply(r.name(), resp->on_time_exceeded(ctx), hop_budget);
-    }
-    return;
-  }
-
-  // Appendix A, Source Quench: the outbound buffer for the egress
-  // interface is full, so the datagram is discarded.
-  if (egress && r.behavior_.full_outbound_interface &&
-      *r.behavior_.full_outbound_interface == *egress) {
-    if (resp != nullptr) {
-      send_reply(r.name(), resp->on_source_quench(ctx), hop_budget);
-    }
-    return;
-  }
-
-  // Appendix A, Redirect: the next gateway for the destination lies on
-  // the sender's own subnet, so the sender should go direct.
-  if (egress && ingress && *ingress == *egress) {
-    if (resp != nullptr) {
-      send_reply(r.name(), resp->on_redirect(ctx, hdr->dst), hop_budget);
-    }
-    return;
-  }
-
-  // Forward: decrement TTL and patch the header checksum incrementally
-  // (RFC 1624), then put it on the egress subnet or hand it to the
-  // next-hop router of the matching static route.
-  const std::uint16_t old_ttl_proto = util::get_be16({packet.data() + 8, 2});
-  packet[8] = static_cast<std::uint8_t>(hdr->ttl - 1);
-  const std::uint16_t new_ttl_proto = util::get_be16({packet.data() + 8, 2});
-  const std::uint16_t old_ck = util::get_be16({packet.data() + 10, 2});
-  util::put_be16({packet.data() + 10, 2},
-                 net::incremental_checksum_update(old_ck, old_ttl_proto,
-                                                  new_ttl_proto));
-  if (route != nullptr) {
-    ++events_processed_;
-    capture_.push_back(CaptureEntry{r.name(), intern(packet)});
-    if (Router* next = find_router_by_address(route->next_hop)) {
-      route_through_router(*next, std::move(packet), hop_budget - 1);
-    }
-    return;
-  }
-  transmit(r.name(), std::move(packet), hop_budget - 1);
-}
-
-Network make_appendix_a_network(DeliveryMode mode) {
-  Network net(mode);
+Network make_appendix_a_network() {
+  Network net;
   Router& r = net.add_router("r");
   r.add_interface(net::IpAddr(10, 0, 1, 1), 24);
   r.add_interface(net::IpAddr(192, 168, 2, 1), 24);

@@ -1,20 +1,16 @@
 // In-process network simulator standing in for the paper's Mininet
 // testbed (§6.1/§6.2 and Appendix A).
 //
-// Two delivery kernels share one topology model:
-//
-//   * DeliveryMode::kEvent (default) — an event-queue kernel. Every hop
-//     is a timestamped event drained in deterministic (time, seq) order
-//     (sim/event_queue.hpp), node lookups go through hash indexes, and
-//     per-link latency/bandwidth (set_link) turn simulated time into a
-//     real dimension. This is what lets generated topologies of 1k+
-//     hosts/routers (sim/topology.hpp) run production-style soak
-//     traffic (sim/soak.hpp) efficiently.
-//   * DeliveryMode::kReference — the original synchronous recursive
-//     delivery, preserved verbatim (linear scans included) as the
-//     differential baseline, exactly like the parser's reference_mode.
-//     tests/test_sim_kernel.cpp pins capture logs byte-identical
-//     between the two kernels for every Appendix-A scenario.
+// Delivery runs on an event-queue kernel. Every hop is a timestamped
+// event drained in deterministic (time, seq) order (sim/event_queue.hpp),
+// node lookups go through hash indexes, and per-link latency/bandwidth
+// (set_link) turn simulated time into a real dimension. Zero-delay hops
+// are dispatched inline (cut-through), so an ideal-wire topology costs no
+// queue traffic. This is what lets generated topologies of 1k+
+// hosts/routers (sim/topology.hpp) run production-style soak traffic
+// (sim/soak.hpp) efficiently. tests/test_sim_kernel.cpp pins every
+// Appendix-A scenario's pcap and capture-log hashes to the values the
+// seed's synchronous simulator produced.
 //
 // Topology mirrors Appendix A by default: one router with three subnets
 // (10.0.1.1/24, 192.168.2.1/24, 172.64.3.1/24), a client on the first and
@@ -42,13 +38,9 @@
 
 namespace sage::sim {
 
-/// Which delivery kernel a Network runs on (see file comment).
-enum class DeliveryMode : std::uint8_t { kEvent, kReference };
-
 /// One recorded transmission: the node that put the packet on the wire,
-/// the raw bytes (starting at the IP header), and — under the event
-/// kernel — the simulated time the packet hit the wire (0 under the
-/// reference kernel, whose clock does not advance).
+/// the raw bytes (starting at the IP header), and the simulated time the
+/// packet hit the wire.
 ///
 /// `packet` is a view into the owning Network's run arena: valid until
 /// that Network's clear_transient() or destruction (docs/MEMORY.md).
@@ -61,8 +53,7 @@ struct CaptureEntry {
 
 /// A deep copy of a CaptureEntry with no arena dependency, for call
 /// sites that keep captures after the Network (or its arena epoch) is
-/// gone — the differential fuzzer's per-case captures, cross-kernel
-/// comparisons in benches/tests.
+/// gone — the differential fuzzer's per-case captures.
 struct OwnedCaptureEntry {
   std::string node;
   std::vector<std::uint8_t> packet;
@@ -111,8 +102,8 @@ class Host {
   net::IpAddr address_;
   int prefix_len_;
   IcmpResponder* responder_ = nullptr;
-  /// Gateway router cached by Network::ensure_index() so the event
-  /// kernel's per-packet egress decision is a pointer load, not a scan.
+  /// Gateway router cached by Network::ensure_index() so the per-packet
+  /// egress decision is a pointer load, not a scan.
   Router* gateway_ = nullptr;
   std::map<std::uint16_t, UdpSocket> udp_sockets_;
   std::vector<net::WireImage> inbox_;
@@ -186,16 +177,14 @@ class Router {
 };
 
 /// The simulated network: routers, any number of hosts, a capture log,
-/// and (in event mode) the timestamped event queue driving delivery.
+/// and the timestamped event queue driving delivery.
 class Network {
  public:
-  explicit Network(DeliveryMode mode = DeliveryMode::kEvent) : mode_(mode) {}
+  Network() = default;
   ~Network();
 
   Network(Network&&) noexcept = default;
   Network& operator=(Network&&) noexcept = default;
-
-  DeliveryMode delivery_mode() const { return mode_; }
 
   Host& add_host(std::string name, net::IpAddr address, int prefix_len = 24);
   Router& add_router(std::string name);
@@ -215,23 +204,22 @@ class Network {
   /// Configure the link serving `network/prefix_len`. Hops toward an
   /// address in that subnet are scheduled `LinkConfig::delay_ns` into the
   /// simulated future (longest configured prefix wins; unconfigured
-  /// subnets are ideal wires). Event mode only; the reference kernel has
-  /// no clock.
+  /// subnets are ideal wires).
   void set_link(net::IpAddr network, int prefix_len, LinkConfig config);
 
   /// Transmit `packet` from `host_name` (or a router's name for
   /// router-originated traffic). The bytes are interned into the run
   /// arena once at injection; the packet is then routed hop by hop until
   /// delivered, dropped, or the hop budget is exhausted; replies
-  /// generated along the way are routed too, and in event mode the queue
-  /// is drained to quiescence before returning. Every transmission is
+  /// generated along the way are routed too, and the queue is drained to
+  /// quiescence before returning. Every transmission is
   /// appended to the capture log.
   void send_from_host(const std::string& host_name,
                       std::span<const std::uint8_t> packet);
 
   /// Overload for callers that already hold the sending host (topology
   /// generators and the soak driver do): skips the name lookup on the
-  /// event kernel's injection fast path.
+  /// injection fast path.
   void send_from_host(Host& host, std::span<const std::uint8_t> packet);
 
   /// Like send_from_host, but forces the first hop through the router even
@@ -245,9 +233,7 @@ class Network {
   /// draining the queue — the injection point for traffic storms and the
   /// fuzzer's delay faults (fuzz::FaultyNetwork schedules real
   /// future-time events here instead of post-hoc reordering). Call run()
-  /// to deliver. Under the reference kernel the packet joins a FIFO
-  /// drained by run(), which matches the event kernel's order whenever
-  /// delays are scheduled nondecreasing.
+  /// to deliver.
   void schedule_from_host(const std::string& host_name,
                           std::span<const std::uint8_t> packet,
                           std::uint64_t delay_ns, bool via_router = false);
@@ -256,15 +242,14 @@ class Network {
   /// of events processed. now_ns() advances to the last event's time.
   std::size_t run();
 
-  /// Current simulated time (event mode; the reference kernel stays at 0).
+  /// Current simulated time.
   std::uint64_t now_ns() const { return now_ns_; }
 
-  /// Kernel events processed so far. Both kernels count the same unit —
-  /// one transmission activation (a node putting a packet on the wire,
-  /// a static-route handoff, or a forced injection) — so events/s is
-  /// comparable across kernels. On the event kernel a zero-delay hop may
-  /// be dispatched inline (cut-through) rather than through the queue,
-  /// but it still counts as one event.
+  /// Kernel events processed so far: one per transmission activation (a
+  /// node putting a packet on the wire, a static-route handoff, or a
+  /// forced injection). A zero-delay hop may be dispatched inline
+  /// (cut-through) rather than through the queue, but it still counts as
+  /// one event.
   std::size_t events_processed() const { return events_processed_; }
 
   const std::vector<CaptureEntry>& capture() const { return capture_; }
@@ -306,8 +291,8 @@ class Network {
   std::vector<std::uint8_t> capture_to_pcap() const;
 
  private:
-  /// Who put a packet on the wire. Exactly one pointer is set; the event
-  /// kernel carries this instead of re-resolving node names per hop.
+  /// Who put a packet on the wire. Exactly one pointer is set; events
+  /// carry this instead of re-resolving node names per hop.
   struct NodeRef {
     Host* host = nullptr;
     Router* router = nullptr;
@@ -337,39 +322,29 @@ class Network {
     return net::WireImage(arena_.intern(bytes));
   }
 
-  // --- reference kernel (the seed's synchronous path, structurally
-  // unchanged; packets stay owned vectors and are interned only at the
-  // boundary pushes into capture/inbox/UDP storage) ---
-  void transmit(const std::string& from_node, std::vector<std::uint8_t> packet,
-                int hop_budget);
-  void deliver_to_host(Host& host, std::vector<std::uint8_t> packet,
-                       int hop_budget);
-  void route_through_router(Router& router, std::vector<std::uint8_t> packet,
-                            int hop_budget);
-  void send_reply(const std::string& from_node,
-                  std::optional<std::vector<std::uint8_t>> reply,
-                  int hop_budget);
-
-  // --- event kernel (arena-backed images, no per-hop copies) ---
+  // --- delivery (arena-backed images, no per-hop copies) ---
   void ensure_index();
   NodeRef lookup_node(const std::string& name);
-  Router* gateway_of(const Host& host) { return host.gateway_; }
+  /// The router a host's forced-first-hop injection goes through: its
+  /// cached gateway, else the first router.
+  Router* injection_gateway(NodeRef from);
+  /// Run `pending` now: cut-through when nothing is queued, else queued
+  /// behind the pending events; drains the queue before returning.
+  void inject(Pending pending);
   std::uint64_t hop_delay(std::span<const std::uint8_t> packet) const;
-  void schedule(Pending pending, std::uint64_t at_ns);
   void process(Pending pending);
   // `pre` is the already-parsed IP header when the caller has one (the
   // cut-through path forwards a freshly patched image plus its header
   // copy instead of re-parsing every hop).
-  void ev_transmit(NodeRef from, net::WireImage packet, int hop_budget,
-                   const net::Ipv4Header* pre = nullptr);
-  void ev_deliver(Host& host, net::WireImage packet, int hop_budget,
-                  const net::Ipv4Header& hdr);
-  void ev_route(Router& r, net::WireImage packet, int hop_budget,
+  void transmit(NodeRef from, net::WireImage packet, int hop_budget,
                 const net::Ipv4Header* pre = nullptr);
-  void ev_reply(NodeRef from, std::optional<std::vector<std::uint8_t>> reply,
-                int hop_budget);
+  void deliver_to_host(Host& host, net::WireImage packet, int hop_budget,
+                       const net::Ipv4Header& hdr);
+  void route_through_router(Router& r, net::WireImage packet, int hop_budget,
+                            const net::Ipv4Header* pre = nullptr);
+  void send_reply(NodeRef from, std::optional<std::vector<std::uint8_t>> reply,
+                  int hop_budget);
 
-  DeliveryMode mode_;
   std::vector<std::unique_ptr<Host>> hosts_;
   std::vector<std::unique_ptr<Router>> routers_;
   /// Per-run bump arena holding every packet image in flight or captured
@@ -378,22 +353,13 @@ class Network {
   util::Arena arena_;
   std::vector<CaptureEntry> capture_;
 
-  // Event-kernel state.
   EventQueue<Pending> queue_;
   std::uint64_t now_ns_ = 0;
   std::size_t events_processed_ = 0;
   std::size_t transient_clear_refusals_ = 0;
   std::vector<std::pair<StaticRoute, LinkConfig>> links_;  // route fields reused as (subnet, prefix)
 
-  // Reference-kernel stand-in for the queue: schedule_from_host FIFO.
-  struct DeferredInjection {
-    std::string host;
-    std::vector<std::uint8_t> packet;
-    bool via_router = false;
-  };
-  std::vector<DeferredInjection> deferred_;
-
-  // Hash indexes over the topology, rebuilt when it grows (event mode).
+  // Hash indexes over the topology, rebuilt when it grows.
   std::unordered_map<std::string, NodeRef> node_by_name_;
   std::unordered_map<std::uint32_t, Host*> host_by_addr_;
   std::unordered_map<std::uint32_t, Router*> router_by_addr_;
@@ -405,7 +371,7 @@ class Network {
 /// Build the Appendix A topology: router "r" with 10.0.1.1/24,
 /// 192.168.2.1/24, 172.64.3.1/24; "client" 10.0.1.100, "server1"
 /// 192.168.2.100, "server2" 172.64.3.100.
-Network make_appendix_a_network(DeliveryMode mode = DeliveryMode::kEvent);
+Network make_appendix_a_network();
 
 /// The simulated kernel's input validation for ICMP requests: RFC 792
 /// gives echo/timestamp/information requests "Code 0", a timestamp

@@ -98,8 +98,7 @@ std::string run_storm_session(Topology& topo, util::SplitMix64& rng) {
     opts.identifier = static_cast<std::uint16_t>(0x5000 + t);
     opts.sequence = static_cast<std::uint16_t>(t + 1);
     // Strictly increasing release times: each burst's cascade is ordered
-    // after the previous burst's injection, and the reference kernel's
-    // FIFO replay matches on zero-latency topologies.
+    // after the previous burst's injection.
     topo.net.schedule_from_host(
         src.name(),
         PingClient::make_echo_request(src.address(), topo.hosts[b]->address(),

@@ -10,11 +10,12 @@
 // per-session capture digests, and therefore the combined soak digest,
 // are a pure function of (topology spec, session count, seed) —
 // independent of --jobs. The construction mirrors the differential
-// fuzzer's: every session derives its own Rng via fork(seed, index),
-// each worker chunk replays its sessions on a private topology replica,
-// endpoint state is wiped between sessions (Network::clear_transient),
-// and digests hash only (node, packet bytes), never timestamps or
-// sequence numbers, so replica history cannot leak in.
+// fuzzer's: every session derives its own SplitMix64 stream via
+// fork(seed, index), each worker chunk replays its sessions on a private
+// topology replica, endpoint state is wiped between sessions
+// (Network::clear_transient), and digests hash only (node, packet
+// bytes), never timestamps or sequence numbers, so replica history
+// cannot leak in.
 #pragma once
 
 #include <cstdint>

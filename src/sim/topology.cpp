@@ -53,10 +53,9 @@ int fat_tree_k(std::size_t hosts) {
   return k;
 }
 
-Topology make_star(std::size_t hosts, DeliveryMode mode) {
+Topology make_star(std::size_t hosts) {
   Topology topo;
-  topo.spec = TopologySpec{TopologyKind::kStar, hosts, 1, mode};
-  topo.net = Network(mode);
+  topo.spec = TopologySpec{TopologyKind::kStar, hosts, 1};
 
   const std::size_t subnets = (hosts + kStarSubnetHosts - 1) / kStarSubnetHosts;
   Router& core = topo.net.add_router("core");
@@ -75,10 +74,9 @@ Topology make_star(std::size_t hosts, DeliveryMode mode) {
   return topo;
 }
 
-Topology make_fat_tree(std::size_t hosts, DeliveryMode mode) {
+Topology make_fat_tree(std::size_t hosts) {
   Topology topo;
-  topo.spec = TopologySpec{TopologyKind::kFatTree, hosts, 1, mode};
-  topo.net = Network(mode);
+  topo.spec = TopologySpec{TopologyKind::kFatTree, hosts, 1};
 
   const int k = fat_tree_k(hosts);
   const int half = k / 2;
@@ -144,10 +142,9 @@ Topology make_fat_tree(std::size_t hosts, DeliveryMode mode) {
   return topo;
 }
 
-Topology make_random(std::size_t hosts, std::uint64_t seed, DeliveryMode mode) {
+Topology make_random(std::size_t hosts, std::uint64_t seed) {
   Topology topo;
-  topo.spec = TopologySpec{TopologyKind::kRandom, hosts, seed, mode};
-  topo.net = Network(mode);
+  topo.spec = TopologySpec{TopologyKind::kRandom, hosts, seed};
   util::SplitMix64 rng(seed);
 
   // A random router tree: router j > 0 hangs off a uniformly chosen
@@ -218,13 +215,13 @@ Topology make_random(std::size_t hosts, std::uint64_t seed, DeliveryMode mode) {
 Topology make_topology(const TopologySpec& spec) {
   switch (spec.kind) {
     case TopologyKind::kStar:
-      return make_star(spec.hosts, spec.mode);
+      return make_star(spec.hosts);
     case TopologyKind::kFatTree:
-      return make_fat_tree(spec.hosts, spec.mode);
+      return make_fat_tree(spec.hosts);
     case TopologyKind::kRandom:
-      return make_random(spec.hosts, spec.seed, spec.mode);
+      return make_random(spec.hosts, spec.seed);
   }
-  return make_star(spec.hosts, spec.mode);
+  return make_star(spec.hosts);
 }
 
 std::size_t unreachable_pairs(Topology& topo) {

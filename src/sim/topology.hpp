@@ -43,7 +43,6 @@ struct TopologySpec {
   TopologyKind kind = TopologyKind::kStar;
   std::size_t hosts = 16;
   std::uint64_t seed = 1;  // used by kRandom (tree shape, link latencies)
-  DeliveryMode mode = DeliveryMode::kEvent;
 };
 
 /// A generated network plus flat views of its nodes. The Topology owns
@@ -51,7 +50,7 @@ struct TopologySpec {
 /// run (moving a Topology is fine — node storage is stable).
 struct Topology {
   TopologySpec spec;
-  Network net{DeliveryMode::kEvent};
+  Network net;
   std::vector<Host*> hosts;      // index order == generation order
   std::vector<Router*> routers;  // index order == generation order
   std::unique_ptr<ReferenceIcmpResponder> responder;
@@ -59,11 +58,9 @@ struct Topology {
 
 Topology make_topology(const TopologySpec& spec);
 
-Topology make_star(std::size_t hosts, DeliveryMode mode = DeliveryMode::kEvent);
-Topology make_fat_tree(std::size_t hosts,
-                       DeliveryMode mode = DeliveryMode::kEvent);
-Topology make_random(std::size_t hosts, std::uint64_t seed,
-                     DeliveryMode mode = DeliveryMode::kEvent);
+Topology make_star(std::size_t hosts);
+Topology make_fat_tree(std::size_t hosts);
+Topology make_random(std::size_t hosts, std::uint64_t seed);
 
 /// Smallest even k whose fat-tree (k^3/4 host slots) fits `hosts`.
 int fat_tree_k(std::size_t hosts);

@@ -7,10 +7,6 @@
 // every toolchain, and across 1/2/8 worker threads. fork() makes that
 // thread-independence structural: every work item derives its own stream
 // from (seed, index), so work stealing cannot reorder draws.
-//
-// Hoisted from src/fuzz/rng.hpp so sage_sim (topology generation, soak
-// traffic mixes) can draw from the same streams without a library cycle;
-// fuzz::Rng remains an alias of this class.
 #pragma once
 
 #include <cstdint>

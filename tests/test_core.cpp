@@ -3,6 +3,9 @@
 // and parameterized property sweeps over the winnowing invariants.
 #include <gtest/gtest.h>
 
+#include <string>
+#include <tuple>
+
 #include "core/sage.hpp"
 #include "corpus/rfc1059.hpp"
 #include "corpus/rfc1112.hpp"
@@ -156,9 +159,11 @@ TEST(Annotations, NonActionableSkipsParsing) {
 /// Winnowing invariants, checked for every sentence instance of every
 /// corpus: stage counts are monotone non-increasing; survivors are a
 /// subset of the base candidates; the survivor count equals the final
-/// stage count.
+/// stage count. The corpus name is a std::string rather than a
+/// const char* so the printed parameter (and thus the test name) holds
+/// the text, not an address that changes from run to run.
 class WinnowInvariants
-    : public ::testing::TestWithParam<std::tuple<const char*, int>> {};
+    : public ::testing::TestWithParam<std::tuple<std::string, int>> {};
 
 TEST_P(WinnowInvariants, MonotoneAndConsistent) {
   const auto [corpus_name, index] = GetParam();
@@ -166,11 +171,11 @@ TEST_P(WinnowInvariants, MonotoneAndConsistent) {
   Sage sage;
   std::string text;
   std::string protocol;
-  if (std::string(corpus_name) == "icmp") {
+  if (corpus_name == "icmp") {
     sage.annotate_non_actionable(corpus::icmp_non_actionable_annotations());
     text = corpus::rfc792_original();
     protocol = "ICMP";
-  } else if (std::string(corpus_name) == "igmp") {
+  } else if (corpus_name == "igmp") {
     sage.annotate_non_actionable(corpus::igmp_non_actionable_annotations());
     text = corpus::rfc1112_appendix_i();
     protocol = "IGMP";
@@ -204,8 +209,9 @@ TEST_P(WinnowInvariants, MonotoneAndConsistent) {
 
 INSTANTIATE_TEST_SUITE_P(
     AllCorpora, WinnowInvariants,
-    ::testing::Values(std::make_tuple("icmp", 0), std::make_tuple("igmp", 0),
-                      std::make_tuple("bfd", 0)));
+    ::testing::Values(std::make_tuple(std::string("icmp"), 0),
+                      std::make_tuple(std::string("igmp"), 0),
+                      std::make_tuple(std::string("bfd"), 0)));
 
 }  // namespace
 }  // namespace sage::core

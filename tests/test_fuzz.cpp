@@ -23,27 +23,27 @@ namespace {
 // ---- rng ------------------------------------------------------------------
 
 TEST(FuzzRng, SameSeedSameStream) {
-  Rng a(42), b(42);
+  util::SplitMix64 a(42), b(42);
   for (int i = 0; i < 100; ++i) EXPECT_EQ(a.next(), b.next());
 }
 
 TEST(FuzzRng, ForkIsIndependentOfParentDraws) {
   // fork(i) must depend only on (seed, i), never on how many draws the
   // parent has made — that is what makes work-stealing order irrelevant.
-  Rng parent(7);
-  Rng child_before = parent.fork(3);
+  util::SplitMix64 parent(7);
+  util::SplitMix64 child_before = parent.fork(3);
   (void)parent.next();
   (void)parent.next();
-  Rng child_after = Rng(7).fork(3);
+  util::SplitMix64 child_after = util::SplitMix64(7).fork(3);
   for (int i = 0; i < 16; ++i) {
     EXPECT_EQ(child_before.next(), child_after.next());
   }
 }
 
 TEST(FuzzRng, ForksForDistinctStreamsDiffer) {
-  Rng seed(9);
-  Rng a = seed.fork(0);
-  Rng b = seed.fork(1);
+  util::SplitMix64 seed(9);
+  util::SplitMix64 a = seed.fork(0);
+  util::SplitMix64 b = seed.fork(1);
   bool any_diff = false;
   for (int i = 0; i < 8; ++i) any_diff |= a.next() != b.next();
   EXPECT_TRUE(any_diff);
@@ -54,7 +54,7 @@ TEST(FuzzRng, ForksForDistinctStreamsDiffer) {
 TEST(PacketGenerator, SameSeedSamePackets) {
   for (const auto& proto : PacketGenerator::known_protocols()) {
     const PacketGenerator gen(proto);
-    Rng a(11), b(11);
+    util::SplitMix64 a(11), b(11);
     for (int i = 0; i < 200; ++i) {
       const FuzzPacket pa = gen.generate(a);
       const FuzzPacket pb = gen.generate(b);
@@ -73,7 +73,7 @@ TEST(PacketGenerator, CoversMutationTaxonomy) {
   // if a class silently vanishes the fuzzer loses coverage without any
   // test noticing, so pin it here.
   const PacketGenerator gen("icmp");
-  Rng rng(5);
+  util::SplitMix64 rng(5);
   std::set<MutationKind> seen;
   for (int i = 0; i < 500; ++i) seen.insert(gen.generate(rng).mutation);
   for (const auto kind :
@@ -116,7 +116,7 @@ TEST(FaultyNetwork, SameRngSameWeather) {
   const FaultPlan plan = *FaultPlan::parse("loss=20,dup=20,reorder=20,corrupt=20");
   const auto run_once = [&] {
     sim::Network net = sim::make_appendix_a_network();
-    FaultyNetwork wire(net, plan, Rng(99));
+    FaultyNetwork wire(net, plan, util::SplitMix64(99));
     for (int i = 0; i < 20; ++i) {
       sim::PingOptions opts;
       opts.sequence = static_cast<std::uint16_t>(i + 1);
@@ -185,7 +185,7 @@ TEST(SchemaRoundTrip, EveryLayerReserializesExactly) {
   // scalar field and writing it into a fresh image must reproduce the
   // original bytes (random_layer_image leaves uncovered bits zero).
   const auto& reg = net::schema::SchemaRegistry::instance();
-  Rng rng(1234);
+  util::SplitMix64 rng(1234);
   for (const auto& layer : reg.layers()) {
     if (layer.header_bytes == 0) continue;
     for (int i = 0; i < 1000; ++i) {
@@ -200,7 +200,7 @@ TEST(SchemaRoundTrip, DecodeLinesRebuildTheImage) {
   // The textual decode ("layer.field = value") carries enough
   // information to reconstruct the header image bit-for-bit.
   const auto& reg = net::schema::SchemaRegistry::instance();
-  Rng rng(4321);
+  util::SplitMix64 rng(4321);
   for (const auto& layer : reg.layers()) {
     if (layer.header_bytes == 0) continue;
     for (int i = 0; i < 1000; ++i) {
@@ -244,7 +244,7 @@ TEST(DifferentialOracle, KnownBadResponderProducesDivergentCaptures) {
   const auto run_with = [&](sim::IcmpResponder* responder) {
     sim::Network net = sim::make_appendix_a_network();
     net.router()->set_responder(responder);
-    FaultyNetwork wire(net, FaultPlan{}, Rng(1));
+    FaultyNetwork wire(net, FaultPlan{}, util::SplitMix64(1));
     wire.send("client", request);
     wire.flush();
     return sim::own_capture(net.capture());
@@ -263,14 +263,14 @@ TEST(DifferentialOracle, KnownBadResponderProducesDivergentCaptures) {
 
 TEST(DifferentialFuzzer, RunCaseIsDeterministic) {
   const PacketGenerator gen("icmp");
-  Rng rng(77);
+  util::SplitMix64 rng(77);
   FuzzOptions options;
   options.protocol = "icmp";
   const DifferentialFuzzer fuzzer(options);
   for (int i = 0; i < 10; ++i) {
     const FuzzPacket pkt = gen.generate(rng);
-    const CaseResult a = fuzzer.run_case(pkt, Rng(123));
-    const CaseResult b = fuzzer.run_case(pkt, Rng(123));
+    const CaseResult a = fuzzer.run_case(pkt, util::SplitMix64(123));
+    const CaseResult b = fuzzer.run_case(pkt, util::SplitMix64(123));
     EXPECT_EQ(a.verdict, b.verdict);
     EXPECT_EQ(a.capture_hash, b.capture_hash);
     EXPECT_EQ(a.detail, b.detail);

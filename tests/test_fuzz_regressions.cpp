@@ -8,6 +8,10 @@
 // reference; replay must come back non-divergent, non-crashing forever.
 #include <gtest/gtest.h>
 
+#include <cstdint>
+#include <map>
+#include <string>
+
 #include "fuzz/corpus.hpp"
 #include "fuzz/differential.hpp"
 
@@ -32,7 +36,7 @@ CaseResult replay(const CorpusCase& c) {
   FuzzOptions options;
   options.protocol = c.packet.protocol;
   options.minimize = false;  // corpus cases are already minimal
-  return DifferentialFuzzer(options).run_case(c.packet, Rng(1));
+  return DifferentialFuzzer(options).run_case(c.packet, util::SplitMix64(1));
 }
 
 TEST(FuzzRegressions, CorpusLoadsAndIsNontrivial) {
@@ -79,42 +83,66 @@ TEST(FuzzRegressions, KeyVerdictsPinBehavior) {
   }
 }
 
+/// FNV-1a over a string, length-prefixed (8 bytes LE) like the other
+/// capture goldens.
+std::uint64_t line_hash(const std::string& line) {
+  std::uint64_t h = 14695981039346656037ULL;
+  const auto add = [&h](std::uint8_t b) {
+    h ^= b;
+    h *= 1099511628211ULL;
+  };
+  for (int i = 0; i < 8; ++i) {
+    add(static_cast<std::uint8_t>(line.size() >> (8 * i)));
+  }
+  for (const unsigned char c : line) add(c);
+  return h;
+}
+
 TEST(FuzzRegressions, VerdictLogsAreByteStableAcrossDeliveryKernels) {
   // The event-queue kernel swap must be invisible to the fuzzer: a
   // delay-heavy campaign (delay faults are the path that changed — they
-  // are now real future-time events) and every corpus replay must
-  // produce byte-identical verdict logs and capture hashes on both
-  // kernels.
+  // are now real future-time events) and every corpus replay under
+  // delay faults must reproduce the verdict logs the synchronous kernel
+  // recorded before it was retired.
   FuzzOptions options;
   options.protocol = "icmp";
   options.seed = 21;
   options.iterations = 40;
   options.minimize = false;
   options.faults = *FaultPlan::parse("delay=40,dup=15,reorder=15");
-  options.delivery = sim::DeliveryMode::kEvent;
-  const FuzzReport event_report = DifferentialFuzzer(options).run();
-  options.delivery = sim::DeliveryMode::kReference;
-  const FuzzReport reference_report = DifferentialFuzzer(options).run();
-  EXPECT_EQ(event_report.log_hash, reference_report.log_hash);
-  ASSERT_EQ(event_report.log.size(), reference_report.log.size());
-  for (std::size_t i = 0; i < event_report.log.size(); ++i) {
-    EXPECT_EQ(event_report.log[i], reference_report.log[i]) << "iteration " << i;
-  }
+  EXPECT_EQ(DifferentialFuzzer(options).run().log_hash, 0x1fad9abe507075e7ULL);
 
+  // Per case: line_hash of its verdict-log line (verdict, capture hash,
+  // detail) under delay=60 with fault rng 9.
+  static const std::map<std::string, std::uint64_t> kCaseGolden = {
+      {"bfd-length-mismatch", 0x4c6f5c60570db860ULL},
+      {"dhcp-option-length-lie", 0xf5d119e17ceec935ULL},
+      {"dhcp-truncated-mid-option", 0x6a8051c026f8175cULL},
+      {"icmp-bad-checksum-echo", 0x88b8b82e9c3a454aULL},
+      {"icmp-delay-fault-kernel-swap", 0x90545c8b5c47b221ULL},
+      {"icmp-echo-nonzero-code", 0x443976489b8b8eb5ULL},
+      {"icmp-info-request-with-payload", 0x7e0173b4be055c98ULL},
+      {"icmp-oversize-echo", 0xe8c4c161cef20bfdULL},
+      {"icmp-param-problem-offender-code", 0xb6337250906dca1aULL},
+      {"icmp-short-read-one-byte", 0xef200488f0130827ULL},
+      {"icmp-timestamp-short-block", 0xb5d07251ef01f1a2ULL},
+      {"icmp-truncated-ip-only", 0xa7b579d17728f517ULL},
+      {"icmp6-short-read-echo-stub", 0x2e39aeecf0a6ec4bULL},
+      {"igmp-bad-checksum", 0xfb9d176ae4ab5af2ULL},
+      {"ntp-bad-version", 0x8f81b3aa408e79aaULL},
+      {"udp-truncated-header", 0x01f1347878199c06ULL},
+  };
   for (const auto& c : corpus()) {
     FuzzOptions replay_options;
     replay_options.protocol = c.packet.protocol;
     replay_options.minimize = false;
     replay_options.faults = *FaultPlan::parse("delay=60");
-    replay_options.delivery = sim::DeliveryMode::kEvent;
-    const CaseResult ev =
-        DifferentialFuzzer(replay_options).run_case(c.packet, Rng(9));
-    replay_options.delivery = sim::DeliveryMode::kReference;
-    const CaseResult ref =
-        DifferentialFuzzer(replay_options).run_case(c.packet, Rng(9));
-    EXPECT_EQ(ev.verdict, ref.verdict) << c.name;
-    EXPECT_EQ(ev.capture_hash, ref.capture_hash) << c.name;
-    EXPECT_EQ(ev.detail, ref.detail) << c.name;
+    const CaseResult r = DifferentialFuzzer(replay_options)
+                             .run_case(c.packet, util::SplitMix64(9));
+    const auto golden = kCaseGolden.find(c.name);
+    ASSERT_NE(golden, kCaseGolden.end()) << c.name << " has no pinned golden";
+    EXPECT_EQ(line_hash(DifferentialFuzzer::log_line(0, r)), golden->second)
+        << c.name << ": " << DifferentialFuzzer::log_line(0, r);
   }
 }
 
@@ -142,12 +170,9 @@ TEST(FuzzRegressions, VerdictLogHashesPinnedAcrossZeroCopyRefactor) {
   EXPECT_TRUE(faulted.clean()) << faulted.summary();
   EXPECT_EQ(faulted.log_hash, 0xe45da0b06eb80274ULL);
 
-  // The same campaign fanned over 8 workers and run on the synchronous
-  // reference kernel lands on the identical log, byte for byte.
+  // The same campaign fanned over 8 workers lands on the identical log,
+  // byte for byte.
   options.jobs = 8;
-  EXPECT_EQ(DifferentialFuzzer(options).run().log_hash, 0xe45da0b06eb80274ULL);
-  options.jobs = 1;
-  options.delivery = sim::DeliveryMode::kReference;
   EXPECT_EQ(DifferentialFuzzer(options).run().log_hash, 0xe45da0b06eb80274ULL);
 }
 

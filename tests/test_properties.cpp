@@ -281,14 +281,13 @@ TEST(Property, DifferingParserOptionsNeverAliasCacheKeys) {
 
   // Every single-knob mutation of the default options must produce a
   // distinct key for the same token sequence.
-  std::vector<ccg::ParserOptions> variants(8);
+  std::vector<ccg::ParserOptions> variants(7);
   variants[1].enable_composition = false;
   variants[2].enable_type_raising = false;
   variants[3].enable_coordination = false;
   variants[4].record_derivations = true;
   variants[5].max_edges_per_cell = 95;
   variants[6].max_tokens = 47;
-  variants[7].reference_mode = true;
 
   std::vector<std::string> keys;
   for (const auto& options : variants) {

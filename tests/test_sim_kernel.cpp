@@ -3,16 +3,20 @@
 // Four layers of guarantees, weakest to strongest:
 //   1. EventQueue property tests — (time, seq) total order, FIFO at equal
 //      timestamps, no loss/duplication across randomized schedules.
-//   2. Appendix-A differential goldens — every scenario's capture log is
-//      byte-identical between DeliveryMode::kEvent and the preserved
-//      synchronous reference kernel, and the pcap hashes equal the ones
-//      recorded against the pre-refactor simulator (so neither kernel
-//      drifted from the seed behaviour).
+//   2. Appendix-A goldens — every scenario's pcap hash, capture-log hash
+//      (node names included) and event count equal the values recorded
+//      against the seed's synchronous recursive simulator, so the kernel
+//      has not drifted from the seed behaviour.
 //   3. Fault-injection timing — FaultyNetwork delay faults are genuine
-//      future-time events under the event kernel, with capture logs still
-//      agreeing with the reference kernel's sequential release.
+//      future-time events, and mixed-fault capture logs still equal the
+//      synchronous kernel's sequential-release goldens.
 //   4. Soak digests — the traffic-mix driver's digest is independent of
-//      --jobs (1/2/8) and, on zero-latency topologies, of the kernel.
+//      --jobs (1/2/8) and, on zero-latency topologies, equal to the
+//      synchronous kernel's recorded digest.
+//
+// Several test names below still say "reference kernel": that kernel was
+// retired once these goldens covered it, and the tests now compare
+// against its recorded output instead of a live run.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -46,6 +50,37 @@ std::uint64_t fnv(const std::vector<std::uint8_t>& bytes) {
   for (const auto b : bytes) {
     h ^= b;
     h *= kFnvPrime;
+  }
+  return h;
+}
+
+/// FNV-1a over a capture log: entry count, then per entry the sending
+/// node's name and the packet bytes, each length-prefixed (8 bytes LE)
+/// so adjacent fields cannot run together. Starts from the standard
+/// 64-bit offset basis (the pcap goldens above predate it and use
+/// kFnvOffset); bench_sim_kernel computes the same digest.
+std::uint64_t capture_hash(const std::vector<CaptureEntry>& capture) {
+  std::uint64_t h = 14695981039346656037ULL;
+  const auto add_bytes = [&h](const std::uint8_t* p, std::size_t n) {
+    for (std::size_t i = 0; i < n; ++i) {
+      h ^= p[i];
+      h *= kFnvPrime;
+    }
+  };
+  const auto add_length = [&](std::size_t n) {
+    std::uint8_t le[8];
+    for (int i = 0; i < 8; ++i) {
+      le[i] = static_cast<std::uint8_t>(n >> (8 * i));
+    }
+    add_bytes(le, 8);
+  };
+  add_length(capture.size());
+  for (const auto& entry : capture) {
+    add_length(entry.node.size());
+    add_bytes(reinterpret_cast<const std::uint8_t*>(entry.node.data()),
+              entry.node.size());
+    add_length(entry.packet.size());
+    add_bytes(entry.packet.data(), entry.packet.size());
   }
   return h;
 }
@@ -126,42 +161,51 @@ TEST(EventQueue, LinkConfigChargesLatencyAndSerialization) {
   EXPECT_EQ((LinkConfig{1000, 8000000000ULL}).delay_ns(100), 1100u);
 }
 
-// --- 2. Appendix-A differential goldens -----------------------------------
+// --- 2. Appendix-A goldens ------------------------------------------------
 
-/// One Appendix-A scenario: how to drive it, plus the FNV-1a hash of its
-/// capture pcap recorded against the pre-refactor (synchronous-only)
-/// simulator. Constructions mirror tests/test_sim.cpp exactly.
+/// One Appendix-A scenario: how to drive it, plus goldens recorded
+/// against the seed's synchronous simulator — the FNV-1a hash of its
+/// capture pcap, the kernel events it takes, and capture_hash() of its
+/// capture log (which, unlike the pcap, also names the sending node).
+/// Constructions mirror tests/test_sim.cpp exactly.
 struct Scenario {
   const char* name;
   std::uint64_t seed_pcap_hash;
+  std::size_t seed_events;
+  std::uint64_t seed_capture_hash;
   std::function<void(Network&)> drive;
 };
 
 const std::vector<Scenario>& scenarios() {
   static const std::vector<Scenario> all = [] {
     std::vector<Scenario> s;
-    s.push_back({"ping_router", 0xbee4fa5bb9cda610ULL, [](Network& net) {
+    s.push_back({"ping_router", 0xbee4fa5bb9cda610ULL, 2,
+                 0xf0eafa320c297c8eULL, [](Network& net) {
                    PingClient ping;
                    ping.ping(net, "client", net::IpAddr(10, 0, 1, 1));
                  }});
-    s.push_back({"ping_server1", 0x1a7ab490b4f3d74dULL, [](Network& net) {
+    s.push_back({"ping_server1", 0x1a7ab490b4f3d74dULL, 4,
+                 0xf42d59cde6a42d41ULL, [](Network& net) {
                    PingClient ping;
                    ping.ping(net, "client", net::IpAddr(192, 168, 2, 100));
                  }});
-    s.push_back({"dest_unreachable", 0x37706b64dc8e533fULL, [](Network& net) {
+    s.push_back({"dest_unreachable", 0x37706b64dc8e533fULL, 2,
+                 0x11eefbdbf5e10f15ULL, [](Network& net) {
                    PingClient ping;
                    PingOptions o;
                    o.expect = PingExpect::kDestinationUnreachable;
                    ping.ping(net, "client", net::IpAddr(8, 8, 8, 8), o);
                  }});
-    s.push_back({"time_exceeded", 0xfe9f362010f80fcfULL, [](Network& net) {
+    s.push_back({"time_exceeded", 0xfe9f362010f80fcfULL, 2,
+                 0xc14f850d4bef13b1ULL, [](Network& net) {
                    PingClient ping;
                    PingOptions o;
                    o.ttl = 1;
                    o.expect = PingExpect::kTimeExceeded;
                    ping.ping(net, "client", net::IpAddr(192, 168, 2, 100), o);
                  }});
-    s.push_back({"parameter_problem", 0xe2061ee411858063ULL, [](Network& net) {
+    s.push_back({"parameter_problem", 0xe2061ee411858063ULL, 2,
+                 0xb96d1d5d65af4d57ULL, [](Network& net) {
                    net.router()->behavior().require_tos_zero = true;
                    net::Ipv4Header ip;
                    ip.tos = 1;
@@ -174,7 +218,8 @@ const std::vector<Scenario>& scenarios() {
                    net.send_from_host("client",
                                       net::build_ipv4_packet(ip, icmp.serialize()));
                  }});
-    s.push_back({"source_quench", 0xa67b1212948cab07ULL, [](Network& net) {
+    s.push_back({"source_quench", 0xa67b1212948cab07ULL, 2,
+                 0x7a626311bc9fa811ULL, [](Network& net) {
                    net.router()->behavior().full_outbound_interface = 1;
                    net.send_from_host(
                        "client",
@@ -182,14 +227,16 @@ const std::vector<Scenario>& scenarios() {
                                                      net::IpAddr(192, 168, 2, 100),
                                                      {}));
                  }});
-    s.push_back({"redirect", 0x2cb4ee762e60ec91ULL, [](Network& net) {
+    s.push_back({"redirect", 0x2cb4ee762e60ec91ULL, 2,
+                 0xa31d9fd67041be5bULL, [](Network& net) {
                    net.send_from_host_via_router(
                        "client",
                        PingClient::make_echo_request(net::IpAddr(10, 0, 1, 100),
                                                      net::IpAddr(10, 0, 1, 50),
                                                      {}));
                  }});
-    s.push_back({"timestamp", 0x7aa183fac4ae95dbULL, [](Network& net) {
+    s.push_back({"timestamp", 0x7aa183fac4ae95dbULL, 2,
+                 0x72f6aa12c87fc3c9ULL, [](Network& net) {
                    net::Ipv4Header ip;
                    ip.protocol = static_cast<std::uint8_t>(net::IpProto::kIcmp);
                    ip.src = net::IpAddr(10, 0, 1, 100);
@@ -201,7 +248,8 @@ const std::vector<Scenario>& scenarios() {
                    net.send_from_host("client",
                                       net::build_ipv4_packet(ip, icmp.serialize()));
                  }});
-    s.push_back({"info_request", 0x151f21f00e5f6c9fULL, [](Network& net) {
+    s.push_back({"info_request", 0x151f21f00e5f6c9fULL, 2,
+                 0xb8028b483ad3ba83ULL, [](Network& net) {
                    net::Ipv4Header ip;
                    ip.protocol = static_cast<std::uint8_t>(net::IpProto::kIcmp);
                    ip.src = net::IpAddr(10, 0, 1, 100);
@@ -213,11 +261,13 @@ const std::vector<Scenario>& scenarios() {
                    net.send_from_host("client",
                                       net::build_ipv4_packet(ip, icmp.serialize()));
                  }});
-    s.push_back({"traceroute", 0x7751758dd9b446b6ULL, [](Network& net) {
+    s.push_back({"traceroute", 0x7751758dd9b446b6ULL, 6,
+                 0x18726ec3296bf914ULL, [](Network& net) {
                    TracerouteClient tr;
                    tr.trace(net, "client", net::IpAddr(192, 168, 2, 100));
                  }});
-    s.push_back({"udp_ports", 0x480edd50adc8386dULL, [](Network& net) {
+    s.push_back({"udp_ports", 0x480edd50adc8386dULL, 6,
+                 0xc2d6a22d58fdcea7ULL, [](Network& net) {
                    net.find_host("server1")->open_udp_port(9000);
                    const std::vector<std::uint8_t> payload = {0xca, 0xfe};
                    net::Ipv4Header ip;
@@ -243,21 +293,24 @@ const std::vector<Scenario>& scenarios() {
   return all;
 }
 
-std::vector<std::uint8_t> run_scenario(const Scenario& scenario,
-                                       DeliveryMode mode) {
-  ReferenceIcmpResponder responder;
-  Network net = make_appendix_a_network(mode);
+/// A fresh Appendix-A network with the reference responder on the
+/// router and both servers.
+Network appendix_a_network(ReferenceIcmpResponder& responder) {
+  Network net = make_appendix_a_network();
   net.router()->set_responder(&responder);
   net.find_host("server1")->set_responder(&responder);
   net.find_host("server2")->set_responder(&responder);
-  scenario.drive(net);
-  return net.capture_to_pcap();
+  return net;
 }
 
 TEST(AppendixAGoldens, EventKernelMatchesReferenceKernelByteForByte) {
+  // The capture log — sending node and packet bytes, entry for entry —
+  // equals the synchronous kernel's recorded log.
   for (const auto& scenario : scenarios()) {
-    EXPECT_EQ(run_scenario(scenario, DeliveryMode::kEvent),
-              run_scenario(scenario, DeliveryMode::kReference))
+    ReferenceIcmpResponder responder;
+    Network net = appendix_a_network(responder);
+    scenario.drive(net);
+    EXPECT_EQ(capture_hash(net.capture()), scenario.seed_capture_hash)
         << scenario.name;
   }
 }
@@ -266,12 +319,11 @@ TEST(AppendixAGoldens, BothKernelsMatchPreRefactorPcapHashes) {
   // Hashes recorded against the simulator BEFORE the event kernel
   // existed. If one of these moves, the capture-log contract moved.
   for (const auto& scenario : scenarios()) {
-    EXPECT_EQ(fnv(run_scenario(scenario, DeliveryMode::kEvent)),
-              scenario.seed_pcap_hash)
-        << scenario.name << " (event kernel)";
-    EXPECT_EQ(fnv(run_scenario(scenario, DeliveryMode::kReference)),
-              scenario.seed_pcap_hash)
-        << scenario.name << " (reference kernel)";
+    ReferenceIcmpResponder responder;
+    Network net = appendix_a_network(responder);
+    scenario.drive(net);
+    EXPECT_EQ(fnv(net.capture_to_pcap()), scenario.seed_pcap_hash)
+        << scenario.name;
   }
 }
 
@@ -293,7 +345,7 @@ std::vector<std::uint8_t> run_scenario_generated(
   for (const auto& fn : generated_icmp_run().functions) {
     responder.add_function(fn);
   }
-  Network net = make_appendix_a_network(DeliveryMode::kEvent);
+  Network net = make_appendix_a_network();
   net.router()->set_responder(&responder);
   net.find_host("server1")->set_responder(&responder);
   net.find_host("server2")->set_responder(&responder);
@@ -324,7 +376,7 @@ TEST(AppendixAGoldens, PooledCaptureBuffersStayGoldenAcrossArenaReuse) {
   // chunks — same bytes, zero new reservation — or the pool leaks or
   // cross-contaminates runs.
   ReferenceIcmpResponder responder;
-  Network net = make_appendix_a_network(DeliveryMode::kEvent);
+  Network net = make_appendix_a_network();
   net.router()->set_responder(&responder);
   net.find_host("server1")->set_responder(&responder);
   net.find_host("server2")->set_responder(&responder);
@@ -375,15 +427,6 @@ TEST(EventKernel, LinkLatencyAdvancesSimulatedTime) {
   }
 }
 
-TEST(EventKernel, ReferenceKernelHasNoClock) {
-  ReferenceIcmpResponder responder;
-  Network net = make_appendix_a_network(DeliveryMode::kReference);
-  net.router()->set_responder(&responder);
-  PingClient ping;
-  ping.ping(net, "client", net::IpAddr(10, 0, 1, 1));
-  EXPECT_EQ(net.now_ns(), 0u);
-}
-
 TEST(EventKernel, ScheduledInjectionsDrainInTimeOrderNotCallOrder) {
   ReferenceIcmpResponder responder;
   Network net = make_appendix_a_network();
@@ -408,18 +451,13 @@ TEST(EventKernel, ScheduledInjectionsDrainInTimeOrderNotCallOrder) {
 }
 
 TEST(EventKernel, EventsProcessedCountsMatchAcrossKernels) {
+  // events_processed counts transmission activations, the unit the
+  // synchronous kernel counted: cut-through dispatch must not change it.
   for (const auto& scenario : scenarios()) {
     ReferenceIcmpResponder responder;
-    Network ev = make_appendix_a_network(DeliveryMode::kEvent);
-    Network ref = make_appendix_a_network(DeliveryMode::kReference);
-    for (Network* net : {&ev, &ref}) {
-      net->router()->set_responder(&responder);
-      net->find_host("server1")->set_responder(&responder);
-      net->find_host("server2")->set_responder(&responder);
-    }
-    scenario.drive(ev);
-    scenario.drive(ref);
-    EXPECT_EQ(ev.events_processed(), ref.events_processed()) << scenario.name;
+    Network net = appendix_a_network(responder);
+    scenario.drive(net);
+    EXPECT_EQ(net.events_processed(), scenario.seed_events) << scenario.name;
   }
 }
 
@@ -457,7 +495,7 @@ TEST(FaultDelay, DelayedPacketsAreFutureTimeEvents) {
   net.router()->set_responder(&responder);
   fuzz::FaultPlan plan;
   plan.delay = 100;  // hold everything
-  fuzz::FaultyNetwork wire(net, plan, fuzz::Rng(1));
+  fuzz::FaultyNetwork wire(net, plan, util::SplitMix64(1));
   wire.send("client", echo_to_router(1));
   wire.send("client", echo_to_router(2));
   EXPECT_TRUE(net.capture().empty()) << "held packets must not transmit";
@@ -473,36 +511,37 @@ TEST(FaultDelay, DelayedPacketsAreFutureTimeEvents) {
 }
 
 TEST(FaultDelay, CaptureAgreesWithReferenceKernelUnderMixedFaults) {
-  // Same plan, same rng seed, both kernels: the (node, packet) capture
-  // sequence must agree entry-for-entry — the byte-stability the fuzz
-  // verdict logs depend on across the kernel swap.
+  // Same plan, seeds 1..20: the (node, packet) capture sequence equals
+  // the one the synchronous kernel's sequential release recorded — the
+  // byte-stability the fuzz verdict logs depend on.
+  static constexpr std::uint64_t kSeedCaptureHash[] = {
+      0xddb0f85c207c9d47ULL, 0x45ce5c5e17a03298ULL,
+      0x5143831eb514d4e5ULL, 0x814ce43a9bada367ULL,
+      0x0bc82ebda0308535ULL, 0x3504b4a245e326c5ULL,
+      0xed5ea8bd0c8511efULL, 0x7a481b852c4b732fULL,
+      0x58138c1c960e2247ULL, 0x5e5defc816251d07ULL,
+      0x37e0e97fdbd11ba0ULL, 0x1d2dda33cb16293fULL,
+      0x298048ebe09a1307ULL, 0x0c7a0e56ff392677ULL,
+      0x51eb4c640b770e7fULL, 0xfb9e97cb95e5eb2fULL,
+      0xd703559ff28fe457ULL, 0x0040bfd588beb180ULL,
+      0xc9e6035ddaf1ce87ULL, 0xb70c74775aad1698ULL,
+  };
   fuzz::FaultPlan plan;
   plan.delay = 40;
   plan.dup = 20;
   plan.reorder = 20;
   for (std::uint64_t seed = 1; seed <= 20; ++seed) {
     ReferenceIcmpResponder responder;
-    Network ev = make_appendix_a_network(DeliveryMode::kEvent);
-    Network ref = make_appendix_a_network(DeliveryMode::kReference);
-    for (Network* net : {&ev, &ref}) {
-      net->router()->set_responder(&responder);
-      net->find_host("server1")->set_responder(&responder);
-    }
-    fuzz::FaultyNetwork ev_wire(ev, plan, fuzz::Rng(seed));
-    fuzz::FaultyNetwork ref_wire(ref, plan, fuzz::Rng(seed));
+    Network net = make_appendix_a_network();
+    net.router()->set_responder(&responder);
+    net.find_host("server1")->set_responder(&responder);
+    fuzz::FaultyNetwork wire(net, plan, util::SplitMix64(seed));
     for (std::uint16_t s = 1; s <= 6; ++s) {
-      ev_wire.send("client", echo_to_router(s));
-      ref_wire.send("client", echo_to_router(s));
+      wire.send("client", echo_to_router(s));
     }
-    ev_wire.flush();
-    ref_wire.flush();
-    ASSERT_EQ(ev.capture().size(), ref.capture().size()) << "seed " << seed;
-    for (std::size_t i = 0; i < ev.capture().size(); ++i) {
-      EXPECT_EQ(ev.capture()[i].node, ref.capture()[i].node)
-          << "seed " << seed << " entry " << i;
-      EXPECT_EQ(ev.capture()[i].packet, ref.capture()[i].packet)
-          << "seed " << seed << " entry " << i;
-    }
+    wire.flush();
+    EXPECT_EQ(capture_hash(net.capture()), kSeedCaptureHash[seed - 1])
+        << "seed " << seed;
   }
 }
 
@@ -536,13 +575,14 @@ TEST(SoakDeterminism, DigestIndependentOfJobs) {
 }
 
 TEST(SoakDeterminism, EventKernelMatchesReferenceOnZeroLatencyStar) {
+  // Digest and transmission count the synchronous kernel recorded for
+  // this soak: on ideal wires, queue scheduling and cut-through dispatch
+  // reproduce its depth-first delivery order exactly.
   SoakOptions options = small_star_soak();
   options.jobs = 2;
-  const SoakReport event_report = run_soak(options);
-  options.topology.mode = DeliveryMode::kReference;
-  const SoakReport reference_report = run_soak(options);
-  EXPECT_EQ(event_report.digest, reference_report.digest);
-  EXPECT_EQ(event_report.transmissions, reference_report.transmissions);
+  const SoakReport report = run_soak(options);
+  EXPECT_EQ(report.digest, 0x1b20b0ba8e1a6899ULL);
+  EXPECT_EQ(report.transmissions, 86u);
 }
 
 TEST(SoakDeterminism, FatTreeSoakDigestIndependentOfJobs) {

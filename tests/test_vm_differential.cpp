@@ -26,7 +26,6 @@
 #include "corpus/rfc1112.hpp"
 #include "corpus/rfc5880.hpp"
 #include "fuzz/generator.hpp"
-#include "fuzz/rng.hpp"
 #include "net/bfd.hpp"
 #include "net/ipv4.hpp"
 #include "net/ntp.hpp"
@@ -38,6 +37,7 @@
 #include "runtime/vm/exec.hpp"
 #include "runtime/vm/program.hpp"
 #include "sim/network.hpp"
+#include "util/rng.hpp"
 
 namespace sage {
 namespace {
@@ -114,7 +114,7 @@ void run_network_differential(const std::string& protocol) {
   const fuzz::PacketGenerator generator(protocol);
   std::size_t replies = 0;
   for (std::size_t i = 0; i < kIterations; ++i) {
-    fuzz::Rng rng = fuzz::Rng(kSeed).fork(i);
+    util::SplitMix64 rng = util::SplitMix64(kSeed).fork(i);
     const fuzz::FuzzPacket pkt = generator.generate(rng);
 
     const auto cap_tree = drive_network(tree, pkt);
@@ -178,7 +178,7 @@ TEST(VmDifferential, IgmpGeneratedSendersMutateEnvsIdentically) {
   ASSERT_FALSE(igmp_run().functions.empty());
   const fuzz::PacketGenerator generator("igmp");
   for (std::size_t i = 0; i < kIterations; ++i) {
-    fuzz::Rng rng = fuzz::Rng(kSeed).fork(i);
+    util::SplitMix64 rng = util::SplitMix64(kSeed).fork(i);
     const fuzz::FuzzPacket pkt = generator.generate(rng);
     // IGMP handlers are senders — the fuzz packet seeds the env instead
     // of arriving through it: the host group under announcement is drawn
@@ -204,7 +204,7 @@ TEST(VmDifferential, NtpGeneratedCodeMutatesEnvsIdentically) {
   ASSERT_FALSE(ntp_run().functions.empty());
   const fuzz::PacketGenerator generator("ntp");
   for (std::size_t i = 0; i < kIterations; ++i) {
-    fuzz::Rng rng = fuzz::Rng(kSeed).fork(i);
+    util::SplitMix64 rng = util::SplitMix64(kSeed).fork(i);
     const fuzz::FuzzPacket pkt = generator.generate(rng);
     const net::IpAddr own(10, 0, 1, 100);
     const auto clock = static_cast<std::uint32_t>(rng.next());
@@ -249,7 +249,7 @@ TEST(VmDifferential, BfdTwinSessionsStayInLockstep) {
   const fuzz::PacketGenerator generator("bfd");
   std::size_t consumed_count = 0;
   for (std::size_t i = 0; i < kIterations; ++i) {
-    fuzz::Rng rng = fuzz::Rng(kSeed).fork(i);
+    util::SplitMix64 rng = util::SplitMix64(kSeed).fork(i);
     const fuzz::FuzzPacket pkt = generator.generate(rng);
 
     // The generator emits standalone control frames; sessions take raw

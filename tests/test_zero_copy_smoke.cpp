@@ -15,11 +15,10 @@ namespace {
 
 constexpr std::uint64_t kStar256Digest = 0x572f84e742782cffULL;
 
-SoakReport soak_star256(std::size_t jobs, DeliveryMode mode) {
+SoakReport soak_star256(std::size_t jobs) {
   SoakOptions options;
   options.topology.kind = TopologyKind::kStar;
   options.topology.hosts = 256;
-  options.topology.mode = mode;
   options.sessions = 60;
   options.seed = 11;
   options.jobs = jobs;
@@ -27,14 +26,14 @@ SoakReport soak_star256(std::size_t jobs, DeliveryMode mode) {
 }
 
 TEST(ZeroCopySmoke, SoakDigestPinnedAcrossJobsAndKernels) {
-  // Pre-refactor golden: the arena representation change must be
-  // invisible to the digest at every worker count and on both kernels.
+  // Pre-refactor golden, which the seed's synchronous kernel also
+  // produced: the arena representation change must be invisible to the
+  // digest at every worker count.
   for (const std::size_t jobs : {1u, 2u, 8u}) {
-    const SoakReport report = soak_star256(jobs, DeliveryMode::kEvent);
+    const SoakReport report = soak_star256(jobs);
     EXPECT_EQ(report.digest, kStar256Digest) << "jobs=" << jobs;
     EXPECT_EQ(report.sessions, 60u);
   }
-  EXPECT_EQ(soak_star256(1, DeliveryMode::kReference).digest, kStar256Digest);
 }
 
 TEST(ZeroCopySmoke, RunArenaReachesSteadyStateUnderTraffic) {
@@ -42,7 +41,7 @@ TEST(ZeroCopySmoke, RunArenaReachesSteadyStateUnderTraffic) {
   // clear_transient() rewinds the arena and the next session's packets
   // land in the retained chunks. Growth here means a leak of arena
   // memory per session — exactly the bug class the pool exists to kill.
-  Topology topo = make_star(256, DeliveryMode::kEvent);
+  Topology topo = make_star(256);
   PingClient ping;
   const auto session = [&](int round) {
     for (int i = 0; i < 8; ++i) {

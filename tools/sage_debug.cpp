@@ -502,8 +502,6 @@ int run_soak(int argc, char** argv, int i) {
       const auto v = number("--jobs");
       if (!v) return 2;
       options.jobs = *v;
-    } else if (strcmp(argv[i], "--reference") == 0) {
-      options.topology.mode = sim::DeliveryMode::kReference;
     } else if (strcmp(argv[i], "--quiet") == 0) {
       quiet = true;  // report line only (CI/bench wrapper use)
     } else {
@@ -526,7 +524,7 @@ int main(int argc, char** argv) {
   //                   [--faults SPEC] [--no-minimize] [--exec-backend B]
   //                   [--quiet]
   //        sage_debug --soak <topology> [--hosts N] [--sessions M] [--seed N]
-  //                   [--jobs N] [--reference] [--quiet]
+  //                   [--jobs N] [--quiet]
   //        sage_debug --serve-client [--port N] <job>...
   //        sage_debug --serve-soak [--total N] [--clients N] [--jobs N]
   //                   [--seed N] [--stats-every N] [--fuzz-iters N] [--quiet]
