@@ -14,7 +14,7 @@
 //     the far edge, so per-event cost is exactly what intern-at-
 //     injection and span forwarding changed. Gate: >= 1.5x the
 //     pre-refactor rate.
-//   * pps        — bench_responder's indexed path: full SchemaExecEnv
+//   * pps        — the id-dispatched respond path: full SchemaExecEnv
 //     construction, generated ICMP echo handler, reply serialization
 //     per packet. Gate: no regression (>= 0.9x to absorb timer noise).
 //

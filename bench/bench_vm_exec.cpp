@@ -12,7 +12,7 @@
 //                   access, the part the VM rewrites; target >= 5x.
 //   full-respond  — reported for context, not gated: environment
 //                   construction + execution + reply serialization per
-//                   packet, the bench_responder.cpp workload. Env setup
+//                   packet, the generated responder's workload. Env setup
 //                   and serialization are backend-independent, so the
 //                   end-to-end ratio is necessarily smaller.
 //

@@ -10,81 +10,80 @@ namespace sage::codegen {
 
 namespace {
 
-/// Byte-array-valued fields, per the packet-schema registry (the same
-/// view runtime::SchemaExecEnv executes against). The substring
-/// fallback keeps non-registry layers behaving as before.
-bool is_bytes_field(const FieldRef& ref) {
-  const auto& registry = net::schema::SchemaRegistry::instance();
-  const auto* spec = ref.field_id >= 0
-                         ? registry.field_by_id(ref.field_id)
-                         : registry.field(ref.layer, ref.field);
-  if (spec != nullptr) return spec->kind == net::schema::FieldKind::kBytes;
-  return ref.field == "data" ||
-         ref.field.find("datagram") != std::string::npos ||
-         ref.field.find("internet_header") != std::string::npos;
-}
-
-/// Byte-array-valued framework functions.
-bool is_bytes_function(const std::string& name) {
-  return name == "original_datagram_excerpt" || name == "copy_field";
-}
-
-struct Collected {
+/// What the generated functions use, with each field's and function's C
+/// type decided by the packet schema of the function that uses it.
+class Collector {
+ public:
   // layer -> field -> is_bytes
   std::map<std::string, std::map<std::string, bool>> fields;
-  std::set<std::string> functions;
+  // function -> is_bytes
+  std::map<std::string, bool> functions;
   std::set<std::string> symbols;  // scenario constants
-};
 
-void collect_expr(const Expr& expr, Collected& out);
-
-void collect_cond(const Cond& cond, Collected& out) {
-  if (cond.kind == Cond::Kind::kCompare) {
-    collect_expr(cond.lhs, out);
-    collect_expr(cond.rhs, out);
+  void collect(const GeneratedFunction& fn) {
+    schema_ = net::schema::SchemaRegistry::instance().protocol(fn.protocol);
+    collect(fn.body);
   }
-  for (const auto& child : cond.children) collect_cond(child, out);
-}
 
-void collect_expr(const Expr& expr, Collected& out) {
-  switch (expr.kind) {
-    case Expr::Kind::kField:
-      out.fields[expr.field.layer][expr.field.field] = is_bytes_field(expr.field);
-      break;
-    case Expr::Kind::kCall:
-      out.functions.insert(expr.name);
-      for (const auto& a : expr.args) collect_expr(a, out);
-      break;
-    case Expr::Kind::kName: {
-      const std::string id = util::to_snake_case(expr.name);
-      if (id != "scenario") out.symbols.insert(id);
-      break;
+ private:
+  void field(const FieldRef& ref) {
+    fields[ref.layer][ref.field] =
+        net::schema::is_bytes_field(schema_, ref.field_id);
+  }
+
+  void function(const std::string& name) {
+    functions[name] = net::schema::is_bytes_function(schema_, name);
+  }
+
+  void collect(const Cond& cond) {
+    if (cond.kind == Cond::Kind::kCompare) {
+      collect(cond.lhs);
+      collect(cond.rhs);
     }
-    case Expr::Kind::kConst:
-      break;
+    for (const auto& child : cond.children) collect(child);
   }
-}
 
-void collect_stmt(const Stmt& stmt, Collected& out) {
-  switch (stmt.kind) {
-    case Stmt::Kind::kAssign:
-      out.fields[stmt.target.layer][stmt.target.field] =
-          is_bytes_field(stmt.target);
-      collect_expr(stmt.value, out);
-      break;
-    case Stmt::Kind::kCall:
-      out.functions.insert(stmt.fn);
-      for (const auto& a : stmt.args) collect_expr(a, out);
-      break;
-    case Stmt::Kind::kIf:
-      collect_cond(stmt.cond, out);
-      break;
-    case Stmt::Kind::kSeq:
-    case Stmt::Kind::kComment:
-      break;
+  void collect(const Expr& expr) {
+    switch (expr.kind) {
+      case Expr::Kind::kField:
+        field(expr.field);
+        break;
+      case Expr::Kind::kCall:
+        function(expr.name);
+        for (const auto& a : expr.args) collect(a);
+        break;
+      case Expr::Kind::kName: {
+        const std::string id = util::to_snake_case(expr.name);
+        if (id != "scenario") symbols.insert(id);
+        break;
+      }
+      case Expr::Kind::kConst:
+        break;
+    }
   }
-  for (const auto& child : stmt.body) collect_stmt(child, out);
-}
+
+  void collect(const Stmt& stmt) {
+    switch (stmt.kind) {
+      case Stmt::Kind::kAssign:
+        field(stmt.target);
+        collect(stmt.value);
+        break;
+      case Stmt::Kind::kCall:
+        function(stmt.fn);
+        for (const auto& a : stmt.args) collect(a);
+        break;
+      case Stmt::Kind::kIf:
+        collect(stmt.cond);
+        break;
+      case Stmt::Kind::kSeq:
+      case Stmt::Kind::kComment:
+        break;
+    }
+    for (const auto& child : stmt.body) collect(child);
+  }
+
+  const net::schema::ProtocolSchema* schema_ = nullptr;
+};
 
 }  // namespace
 
@@ -99,8 +98,8 @@ std::string c_framework_header() {
 
 std::string emit_compilation_unit(
     std::span<const GeneratedFunction> functions) {
-  Collected collected;
-  for (const auto& fn : functions) collect_stmt(fn.body, collected);
+  Collector collected;
+  for (const auto& fn : functions) collected.collect(fn);
 
   std::string out = c_framework_header();
 
@@ -127,9 +126,8 @@ std::string emit_compilation_unit(
 
   // Framework function declarations. C99 empty parameter lists leave the
   // arity unspecified, matching the variadic way RFC text names them.
-  for (const auto& fn : collected.functions) {
-    out += std::string(is_bytes_function(fn) ? "struct sage_bytes " : "long ") +
-           fn + "();\n";
+  for (const auto& [fn, bytes] : collected.functions) {
+    out += std::string(bytes ? "struct sage_bytes " : "long ") + fn + "();\n";
   }
   out += "\n";
 

@@ -29,13 +29,6 @@ std::string layer_for_protocol(std::string_view protocol) {
 }
 
 void StaticContext::add_field(std::string_view phrase, FieldRef ref) {
-  // Annotate the ref against the packet-schema registry at table-build
-  // time so every ref handed out by resolve_field carries its dense id.
-  if (ref.field_id < 0) {
-    const auto* spec =
-        net::schema::SchemaRegistry::instance().field(ref.layer, ref.field);
-    if (spec != nullptr) ref.field_id = spec->id;
-  }
   fields_[util::to_lower(phrase)].push_back(std::move(ref));
 }
 

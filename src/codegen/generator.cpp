@@ -1,94 +1,60 @@
 #include "codegen/generator.hpp"
 
-#include <algorithm>
-#include <atomic>
-
 #include "net/schema.hpp"
 #include "util/strings.hpp"
-#include "util/symbols.hpp"
 
 namespace sage::codegen {
 
 namespace {
 
-std::atomic<std::size_t> g_schema_resolved{0};
-std::atomic<std::size_t> g_schema_unresolved{0};
-
-/// Post-pass over a generated statement tree: annotate every FieldRef
-/// with its dense registry id (generation-time schema resolution) and
-/// precompute symbol values for kName expressions against the
-/// protocol's symbol table. Unresolvable field names are collected as
-/// diagnostics; they fall back to the interpreter's string path.
-class SchemaAnnotator {
+/// Post-pass over one sentence's converted code, against the protocol's
+/// schema: precomputes every kName value, so neither backend looks
+/// symbols up per run ("scenario" stays a runtime lookup: its value is
+/// per run), and records the first field reference that names no
+/// registry field.
+class SchemaPass {
  public:
-  SchemaAnnotator(const net::schema::ProtocolSchema* schema,
-                  std::vector<std::string>* unresolved)
-      : schema_(schema), unresolved_(unresolved) {}
+  explicit SchemaPass(const net::schema::ProtocolSchema* schema)
+      : schema_(schema) {}
 
-  void annotate(Stmt& stmt) {
+  void visit(Stmt& stmt) {
     if (stmt.kind == Stmt::Kind::kAssign) {
       note(stmt.target);
-      annotate(stmt.value);
+      visit(stmt.value);
     }
-    for (auto& a : stmt.args) annotate(a);
-    if (stmt.kind == Stmt::Kind::kIf) annotate(stmt.cond);
-    for (auto& child : stmt.body) annotate(child);
+    for (auto& a : stmt.args) visit(a);
+    if (stmt.kind == Stmt::Kind::kIf) visit(stmt.cond);
+    for (auto& child : stmt.body) visit(child);
   }
+
+  /// "layer.field" of the first unresolved ref; empty when all resolved.
+  const std::string& unresolved() const { return unresolved_; }
 
  private:
-  void note(FieldRef& ref) {
-    if (!ref.valid()) return;
-    if (ref.field_id < 0) {
-      const auto* spec =
-          net::schema::SchemaRegistry::instance().field(ref.layer, ref.field);
-      if (spec != nullptr) ref.field_id = spec->id;
-    }
-    if (ref.field_id >= 0) {
-      g_schema_resolved.fetch_add(1, std::memory_order_relaxed);
-      return;
-    }
-    g_schema_unresolved.fetch_add(1, std::memory_order_relaxed);
-    const std::string name = ref.to_string();
-    if (std::find(unresolved_->begin(), unresolved_->end(), name) ==
-        unresolved_->end()) {
-      unresolved_->push_back(name);
-    }
+  void note(const FieldRef& ref) {
+    if (ref.field_id < 0 && unresolved_.empty()) unresolved_ = ref.to_string();
   }
 
-  void annotate(Expr& expr) {
+  void visit(Expr& expr) {
     if (expr.kind == Expr::Kind::kField) note(expr.field);
-    if (expr.kind == Expr::Kind::kName) cache_symbol(expr);
-    for (auto& a : expr.args) annotate(a);
-  }
-
-  /// Mirror of SchemaExecEnv::resolve_symbol, minus the per-run
-  /// "scenario" alias (which must stay a runtime lookup).
-  void cache_symbol(Expr& expr) {
-    const std::string lower = util::to_lower(expr.name);
-    if (lower == "scenario") return;
-    if (schema_ != nullptr) {
-      for (const auto& sym : schema_->symbols) {
-        if (sym.name == lower) {
-          expr.symbol_cached = true;
-          expr.symbol_cache = sym.value;
-          return;
-        }
-      }
+    if (expr.kind == Expr::Kind::kName &&
+        util::to_lower(expr.name) != "scenario") {
+      expr.symbol_cached = true;
+      expr.symbol_cache = net::schema::symbol_value(schema_, expr.name);
     }
-    expr.symbol_cached = true;
-    expr.symbol_cache = util::symbol_value(expr.name);
+    for (auto& a : expr.args) visit(a);
   }
 
-  void annotate(Cond& cond) {
+  void visit(Cond& cond) {
     if (cond.kind == Cond::Kind::kCompare) {
-      annotate(cond.lhs);
-      annotate(cond.rhs);
+      visit(cond.lhs);
+      visit(cond.rhs);
     }
-    for (auto& child : cond.children) annotate(child);
+    for (auto& child : cond.children) visit(child);
   }
 
   const net::schema::ProtocolSchema* schema_;
-  std::vector<std::string>* unresolved_;
+  std::string unresolved_;
 };
 
 /// Does this statement (tree) contain a checksum computation call?
@@ -104,16 +70,6 @@ bool contains_checksum_call(const Stmt& stmt) {
 }
 
 }  // namespace
-
-SchemaResolutionStats schema_resolution_stats() {
-  return {g_schema_resolved.load(std::memory_order_relaxed),
-          g_schema_unresolved.load(std::memory_order_relaxed)};
-}
-
-void reset_schema_resolution_stats() {
-  g_schema_resolved.store(0, std::memory_order_relaxed);
-  g_schema_unresolved.store(0, std::memory_order_relaxed);
-}
 
 std::string CodeGenerator::function_name(const std::string& protocol,
                                          const std::string& message,
@@ -132,6 +88,8 @@ GenerationOutcome CodeGenerator::generate(
     const std::string& protocol, const std::string& message,
     const std::string& role, std::span<const SentenceLf> sentences) const {
   GenerationOutcome outcome;
+  const auto* schema =
+      net::schema::SchemaRegistry::instance().protocol(protocol);
 
   std::vector<Stmt> main_body;
   std::vector<Stmt> advice;  // @AdvBefore statements, hoisted later
@@ -161,6 +119,15 @@ GenerationOutcome CodeGenerator::generate(
           converter.errors().empty()
               ? "no handler produced code for " + s.form.to_string()
               : converter.errors().back());
+      continue;
+    }
+    // Fold symbols, and fail the sentence like a form that does not
+    // convert if its code names a field the registry does not have.
+    SchemaPass pass(schema);
+    pass.visit(*stmt);
+    if (!pass.unresolved().empty()) {
+      outcome.failed_sentences.push_back(s.sentence);
+      outcome.diagnostics.push_back("unresolved field " + pass.unresolved());
       continue;
     }
     stmt->text = s.sentence;  // provenance
@@ -197,14 +164,6 @@ GenerationOutcome CodeGenerator::generate(
   fn.message = message;
   fn.role = role;
   fn.body = Stmt::seq(std::move(body));
-
-  // Schema resolution (see SchemaAnnotator): runs before emission, but
-  // neither field ids nor symbol caches are rendered into the C text, so
-  // goldens are unaffected.
-  SchemaAnnotator annotator(
-      net::schema::SchemaRegistry::instance().protocol(protocol),
-      &outcome.unresolved_fields);
-  annotator.annotate(fn.body);
 
   fn.c_source = emit_function(fn);
   outcome.function = std::move(fn);

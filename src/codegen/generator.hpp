@@ -7,10 +7,11 @@
 // computation; and naming/role separation follows the context
 // dictionaries.
 //
-// Sentences whose logical form fails conversion are reported back — that
-// is the signal driving the paper's "iterative discovery of
-// non-actionable sentences" loop (the core pipeline re-tags them
-// @AdvComment and reruns).
+// Sentences whose logical form fails conversion — or converts to code
+// that names a field the packet-schema registry does not have — are
+// reported back: that is the signal driving the paper's "iterative
+// discovery of non-actionable sentences" loop (the core pipeline re-tags
+// them @AdvComment and reruns).
 #pragma once
 
 #include <optional>
@@ -42,22 +43,7 @@ struct GenerationOutcome {
   std::vector<std::string> failed_sentences;
   /// Conversion diagnostics, aligned with failed_sentences.
   std::vector<std::string> diagnostics;
-  /// "layer.field" names in the generated IR that did not resolve
-  /// against the packet-schema registry (deduplicated). These run
-  /// through the interpreter's slow string path and usually indicate a
-  /// context-dictionary entry the registry does not know about.
-  std::vector<std::string> unresolved_fields;
 };
-
-/// Process-wide counters for schema-id resolution during generation
-/// (surfaced by sage_debug --parse-stats).
-struct SchemaResolutionStats {
-  std::size_t resolved = 0;    // FieldRefs annotated with a dense id
-  std::size_t unresolved = 0;  // FieldRefs left on the string path
-};
-
-SchemaResolutionStats schema_resolution_stats();
-void reset_schema_resolution_stats();
 
 class CodeGenerator {
  public:

@@ -1,6 +1,16 @@
 #include "codegen/ir.hpp"
 
+#include "net/schema.hpp"
+
 namespace sage::codegen {
+
+FieldRef::FieldRef(std::string layer_name, std::string field_name)
+    : layer(std::move(layer_name)), field(std::move(field_name)) {
+  if (const auto* spec =
+          net::schema::SchemaRegistry::instance().field(layer, field)) {
+    field_id = spec->id;
+  }
+}
 
 std::size_t Stmt::executable_count() const {
   switch (kind) {

@@ -13,20 +13,25 @@
 
 namespace sage::codegen {
 
-/// A resolved reference to a protocol field: layer + field, e.g.
-/// {"ip", "src"}, {"icmp", "type"}, {"bfd", "session_state"}.
+/// A reference to a protocol field: layer + field, e.g. {"ip", "src"},
+/// {"icmp", "type"}, {"bfd", "session_state"}.
+///
+/// The constructor is the one place a layer/field name is resolved
+/// against the packet-schema registry (net/schema.hpp), payload-pattern
+/// fallback included. Every consumer — the code generator's unresolved
+/// check, the C unit, the VM lowering, the runtime env — reads field_id
+/// only; the strings are for rendering.
 struct FieldRef {
+  /// Invalid ref: no name, id -1.
+  FieldRef() = default;
+  FieldRef(std::string layer, std::string field);
+
   std::string layer;
   std::string field;
-  /// Dense id in the packet-schema registry (net/schema.hpp), attached at
-  /// generation time; -1 when the name is not a registered field. Runtime
-  /// environments dispatch on this id instead of comparing strings.
+  /// Dense registry id; -1 when the name is not a registered field.
   int field_id = -1;
 
-  bool valid() const { return !layer.empty() && !field.empty(); }
   std::string to_string() const { return layer + "." + field; }
-  /// Identity is the name, not the annotation: two refs to the same
-  /// layer.field compare equal whether or not ids have been attached.
   bool operator==(const FieldRef& o) const {
     return layer == o.layer && field == o.field;
   }

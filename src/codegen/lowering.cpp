@@ -5,7 +5,6 @@
 
 #include "net/schema.hpp"
 #include "util/strings.hpp"
-#include "util/symbols.hpp"
 
 namespace sage::codegen {
 
@@ -76,43 +75,14 @@ class Lowering {
     return static_cast<std::uint16_t>(out_.names.size() - 1);
   }
 
-  // Mirror of SchemaExecEnv::binding()'s spec resolution: dense id when
-  // annotated, registry name lookup (with payload-pattern fallback)
-  // otherwise.
-  const schema::FieldSpec* resolve_spec(const FieldRef& ref) const {
-    const auto& reg = schema::SchemaRegistry::instance();
-    if (ref.field_id >= 0) return reg.field_by_id(ref.field_id);
-    return reg.field(ref.layer, ref.field);
-  }
-
-  /// Mirror of SchemaExecEnv::is_bytes_field: the field is the payload
-  /// of a layer this protocol actually binds.
-  bool is_bytes_field(const FieldRef& ref) const {
-    const auto* spec = resolve_spec(ref);
-    if (spec == nullptr || spec->kind != schema::FieldKind::kBytes ||
-        schema_ == nullptr) {
-      return false;
-    }
-    const auto* layer =
-        schema::SchemaRegistry::instance().layer_by_id(spec->id);
-    return layer != nullptr &&
-           std::find(schema_->layers.begin(), schema_->layers.end(),
-                     layer->name) != schema_->layers.end();
-  }
-
-  /// Mirror of SchemaExecEnv::is_bytes_function (the ICMP profile's two
-  /// byte-valued framework functions); test_vm_differential.cpp pins the
-  /// agreement.
-  bool is_bytes_function(const std::string& fn) const {
-    return out_.protocol == "ICMP" &&
-           (fn == "original_datagram_excerpt" || fn == "copy_field");
-  }
-
   bool is_bytes_expr(const Expr& e) const {
     switch (e.kind) {
-      case Expr::Kind::kField: return is_bytes_field(e.field);
-      case Expr::Kind::kCall: return is_bytes_function(e.name);
-      default: return false;
+      case Expr::Kind::kField:
+        return schema::is_bytes_field(schema_, e.field.field_id);
+      case Expr::Kind::kCall:
+        return schema::is_bytes_function(schema_, e.name);
+      default:
+        return false;
     }
   }
 
@@ -129,32 +99,18 @@ class Lowering {
         return;
       case Expr::Kind::kName: {
         // Constant-fold the symbol exactly as resolve_symbol would: the
-        // SchemaAnnotator cache when present; otherwise the schema symbol
-        // table / util::symbol_value, both immutable. Only the per-run
-        // scenario alias survives as a runtime op.
-        long value = 0;
-        if (e.symbol_cached) {
-          value = e.symbol_cache;
-        } else {
-          const std::string lower = util::to_lower(e.name);
-          if (schema_ != nullptr && schema_->scenario_symbol &&
-              lower == "scenario") {
-            emit({LinOp::kPushScenario});
-            push_depth(1);
-            return;
-          }
-          bool found = false;
-          if (schema_ != nullptr) {
-            for (const auto& s : schema_->symbols) {
-              if (s.name == lower) {
-                value = s.value;
-                found = true;
-                break;
-              }
-            }
-          }
-          if (!found) value = util::symbol_value(e.name);
+        // generator's symbol cache when present, otherwise the immutable
+        // schema answer. Only the per-run scenario alias survives as a
+        // runtime op.
+        if (!e.symbol_cached && schema_ != nullptr &&
+            schema_->scenario_symbol && util::to_lower(e.name) == "scenario") {
+          emit({LinOp::kPushScenario});
+          push_depth(1);
+          return;
         }
+        const long value = e.symbol_cached
+                               ? e.symbol_cache
+                               : schema::symbol_value(schema_, e.name);
         emit({LinOp::kPushConst, 0, 0, 0, value});
         push_depth(1);
         return;
@@ -231,7 +187,8 @@ class Lowering {
   }
 
   void assign(const Stmt& s) {
-    if (is_bytes_expr(s.value) || is_bytes_field(s.target)) {
+    if (is_bytes_expr(s.value) ||
+        schema::is_bytes_field(schema_, s.target.field_id)) {
       BytesSrc src = BytesSrc::kNone;
       std::uint16_t b = 0;
       std::uint8_t sel = 0;

@@ -6,7 +6,7 @@
 // flattens a GeneratedFunction once into a contiguous instruction array:
 // control flow becomes explicit jumps (If/And/Or/Not short-circuit
 // lowered to kJumpIfFalse/kJumpIfTrue), kName symbols are resolved to
-// inline constants at compile time (reusing the SchemaAnnotator caches;
+// inline constants at compile time (reusing the generator's symbol caches;
 // only the per-run "scenario" alias stays a runtime op), and every field
 // access carries its resolved registry id.
 //
@@ -24,8 +24,8 @@
 
 namespace sage::codegen {
 
-/// Process-wide execution counters for the generated-code backends,
-/// alongside SchemaResolutionStats: how many handler programs were
+/// Process-wide execution counters for the generated-code backends:
+/// how many handler programs were
 /// compiled (and their footprint), how much work the threaded VM did,
 /// and how many statements the tree interpreter stepped. Exposed on
 /// core::ProtocolRun and by sage_debug --parse-stats.

@@ -296,12 +296,6 @@ ProtocolRun Sage::process_impl(const std::string& rfc_text,
     if (outcome.function) {
       run.functions.push_back(std::move(*outcome.function));
     }
-    for (auto& name : outcome.unresolved_fields) {
-      if (std::find(run.unresolved_fields.begin(), run.unresolved_fields.end(),
-                    name) == run.unresolved_fields.end()) {
-        run.unresolved_fields.push_back(std::move(name));
-      }
-    }
   }
 
   // Deduplicate discovered sentences (a sentence may feed two roles).

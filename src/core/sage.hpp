@@ -68,11 +68,6 @@ struct ProtocolRun {
   /// Sentences auto-discovered as non-actionable this run (code
   /// generation failed; tagged @AdvComment for the next pass).
   std::vector<std::string> discovered_non_actionable;
-  /// "layer.field" names the code generator could not resolve against
-  /// the packet-schema registry (deduplicated across functions). These
-  /// execute through the interpreter's string path instead of dense-id
-  /// dispatch; not rendered anywhere, so run signatures are unaffected.
-  std::vector<std::string> unresolved_fields;
   /// Parse-cache activity attributable to this run (hits/misses/
   /// evictions that happened while it executed). Zero when the cache is
   /// disabled.

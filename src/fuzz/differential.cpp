@@ -202,7 +202,7 @@ std::string icmp_env_wire_mismatch(const FuzzPacket& pkt) {
     } else {
       continue;
     }
-    codegen::FieldRef ref{"icmp", f.name, f.id};
+    codegen::FieldRef ref{"icmp", f.name};
     const auto got = env.read_field(ref, codegen::PacketSel::kIncoming);
     if (got != expected) {
       return "env-vs-wire icmp." + f.name + " env=" + fmt_value(got) +
@@ -243,7 +243,7 @@ std::string compare_env_wire(runtime::SchemaExecEnv& env, const LayerSpec& layer
                              std::span<const std::uint8_t> image) {
   for (const auto& f : layer.fields) {
     if (f.kind != FieldKind::kScalar || !f.readable) continue;
-    codegen::FieldRef ref{layer.name, f.name, f.id};
+    codegen::FieldRef ref{layer.name, f.name};
     const auto got = env.read_field(ref, codegen::PacketSel::kIncoming);
     const auto expected = SchemaRegistry::read_scalar(f, image);
     if (got != expected) {

@@ -1,6 +1,10 @@
 #include "net/schema.hpp"
 
+#include <algorithm>
+
 #include "util/bytes.hpp"
+#include "util/strings.hpp"
+#include "util/symbols.hpp"
 
 namespace sage::net::schema {
 
@@ -562,14 +566,16 @@ SchemaRegistry::SchemaRegistry() {
        {"ip", "icmp"},
        {{"ip", "protocol", 1}, {"ip", "ttl", 64}},
        {},
-       /*scenario_symbol=*/true},
+       /*scenario_symbol=*/true,
+       {"original_datagram_excerpt", "copy_field"}},
       {"ICMP6",
        {"ip6", "icmp6"},
        {{"ip6", "version", 6},
         {"ip6", "next_header", 58},
         {"ip6", "hop_limit", 64}},
        {},
-       /*scenario_symbol=*/true},
+       /*scenario_symbol=*/true,
+       {"original_datagram_excerpt", "copy_field"}},
       {"IGMP",
        {"igmp"},
        {{"igmp", "version", 1},
@@ -577,7 +583,7 @@ SchemaRegistry::SchemaRegistry() {
         {"ip", "protocol", 2},
         {"ip", "ttl", 1}},
        {},
-       /*scenario_symbol=*/true},
+       /*scenario_symbol=*/true, {}},
       {"NTP",
        {"udp", "ntp"},
        {{"ntp", "version", 1},
@@ -587,12 +593,12 @@ SchemaRegistry::SchemaRegistry() {
         {"ip", "protocol", 17},
         {"ip", "ttl", 64}},
        {},
-       /*scenario_symbol=*/false},
+       /*scenario_symbol=*/false, {}},
       {"BFD",
        {"bfd"},
        {},
        {{"up", 3}, {"down", 1}, {"init", 2}, {"admindown", 0}},
-       /*scenario_symbol=*/false},
+       /*scenario_symbol=*/false, {}},
       {"DHCP",
        {"dhcp"},
        {{"dhcp", "op", 2},
@@ -608,9 +614,9 @@ SchemaRegistry::SchemaRegistry() {
         {"nak", 6},
         {"release", 7},
         {"inform", 8}},
-       /*scenario_symbol=*/false},
-      {"TCP", {"tcp"}, {}, {}, /*scenario_symbol=*/false},
-      {"BGP", {"bgp"}, {}, {}, /*scenario_symbol=*/false},
+       /*scenario_symbol=*/false, {}},
+      {"TCP", {"tcp"}, {}, {}, /*scenario_symbol=*/false, {}},
+      {"BGP", {"bgp"}, {}, {}, /*scenario_symbol=*/false, {}},
       // The service daemon's framing. Symbols encode the FrameKind values
       // so a decoded `serve.kind` can be named straight from the table.
       {"SERVE",
@@ -625,7 +631,7 @@ SchemaRegistry::SchemaRegistry() {
         {"result", 17},
         {"stats-result", 18},
         {"error", 19}},
-       /*scenario_symbol=*/false},
+       /*scenario_symbol=*/false, {}},
   };
 }
 
@@ -690,6 +696,35 @@ const FieldSpec* SchemaRegistry::field_by_id(int id) const {
 const LayerSpec* SchemaRegistry::layer_by_id(int id) const {
   if (id < 0 || static_cast<std::size_t>(id) >= by_id_.size()) return nullptr;
   return by_id_[static_cast<std::size_t>(id)].layer;
+}
+
+bool is_bytes_field(const ProtocolSchema* protocol, int field_id) {
+  const auto& registry = SchemaRegistry::instance();
+  const FieldSpec* spec = registry.field_by_id(field_id);
+  if (protocol == nullptr || spec == nullptr ||
+      spec->kind != FieldKind::kBytes) {
+    return false;
+  }
+  const std::string& layer = registry.layer_by_id(field_id)->name;
+  return std::find(protocol->layers.begin(), protocol->layers.end(), layer) !=
+         protocol->layers.end();
+}
+
+bool is_bytes_function(const ProtocolSchema* protocol, std::string_view fn) {
+  return protocol != nullptr &&
+         std::find(protocol->bytes_functions.begin(),
+                   protocol->bytes_functions.end(),
+                   fn) != protocol->bytes_functions.end();
+}
+
+long symbol_value(const ProtocolSchema* protocol, std::string_view name) {
+  if (protocol != nullptr) {
+    const std::string lower = util::to_lower(name);
+    for (const auto& s : protocol->symbols) {
+      if (s.name == lower) return s.value;
+    }
+  }
+  return util::symbol_value(name);
 }
 
 namespace {

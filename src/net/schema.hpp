@@ -9,9 +9,9 @@
 // per-protocol ExecEnv classes, the net/ serializers, and the simulator's
 // inspector. The registry makes it one table:
 //
-//   * codegen resolves FieldRefs against it at generation time and
-//     attaches dense field ids to the IR (unknown fields become
-//     generation-time diagnostics),
+//   * codegen resolves every FieldRef against it when the ref is built
+//     and carries the dense field id in the IR (a sentence whose code
+//     names an unknown field fails generation),
 //   * runtime::SchemaExecEnv executes generated code table-driven,
 //     dispatching reads/writes on the field id instead of string
 //     comparisons,
@@ -160,6 +160,9 @@ struct ProtocolSchema {
   /// Does resolve_symbol("scenario") name the current event scenario?
   /// (ICMP/IGMP @Case dispatch; NTP and BFD never used the alias.)
   bool scenario_symbol = false;
+  /// Framework functions that return bytes instead of a scalar (ICMP's
+  /// original-datagram excerpt and field copy).
+  std::vector<std::string> bytes_functions;
 };
 
 /// One TLV option as a view into the underlying image. The value span
@@ -343,5 +346,25 @@ class SchemaRegistry {
   };
   std::vector<IdEntry> by_id_;
 };
+
+// ---- what a name means in generated code ----------------------------------
+// The one answer every consumer of generated code uses: the tree
+// interpreter's env (runtime::SchemaExecEnv), the VM lowering and the C
+// compilation unit. A null `protocol` (not in the registry) binds no
+// layers, lists no functions and has no symbols.
+
+/// Is registry field `field_id` byte-valued for `protocol`: a kBytes
+/// field (a payload, or a whole TLV option value) of a layer the protocol
+/// binds? False for id -1.
+bool is_bytes_field(const ProtocolSchema* protocol, int field_id);
+
+/// Does framework function `fn` return bytes for `protocol`?
+bool is_bytes_function(const ProtocolSchema* protocol, std::string_view fn);
+
+/// The value of a symbolic name ("Up", "net unreachable") for `protocol`:
+/// its symbol-table entry (names compare case-insensitively), else
+/// util::symbol_value(name). The per-run "scenario" alias is the
+/// caller's to resolve first.
+long symbol_value(const ProtocolSchema* protocol, std::string_view name);
 
 }  // namespace sage::net::schema

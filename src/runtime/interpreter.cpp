@@ -33,8 +33,8 @@ std::optional<long> Interpreter::eval(const Expr& expr, ExecEnv& env) const {
     case Expr::Kind::kField:
       return env.read_field(expr.field, expr.packet);
     case Expr::Kind::kName:
-      // Generation-time symbol cache (codegen::SchemaAnnotator); only
-      // per-run names like "scenario" still hit the environment.
+      // Generation-time symbol cache (codegen's SchemaPass); only per-run
+      // names like "scenario" still hit the environment.
       if (expr.symbol_cached) return expr.symbol_cache;
       return env.resolve_symbol(expr.name);
     case Expr::Kind::kCall: {

@@ -437,21 +437,14 @@ SchemaExecEnv SchemaExecEnv::state_machine(const std::string& protocol) {
 // -- field dispatch ---------------------------------------------------------
 
 const SchemaExecEnv::Binding* SchemaExecEnv::binding(
-    const codegen::FieldRef& ref) const {
-  if (ref.field_id >= 0 &&
-      static_cast<std::size_t>(ref.field_id) < pb_->by_id.size()) {
-    return &pb_->by_id[static_cast<std::size_t>(ref.field_id)];
-  }
-  // Un-annotated ref (hand-built IR, reference corpus): resolve by name.
-  const auto* spec =
-      schema::SchemaRegistry::instance().field(ref.layer, ref.field);
-  if (spec == nullptr) return nullptr;
-  return &pb_->by_id[static_cast<std::size_t>(spec->id)];
+    const ProtocolBinding& pb, const codegen::FieldRef& ref) {
+  const auto id = static_cast<std::size_t>(ref.field_id);
+  return ref.field_id < 0 || id >= pb.by_id.size() ? nullptr : &pb.by_id[id];
 }
 
 std::optional<long> SchemaExecEnv::read_field(const codegen::FieldRef& ref,
                                               codegen::PacketSel sel) {
-  const Binding* b = binding(ref);
+  const Binding* b = binding(*pb_, ref);
   if (b == nullptr || b->kind == Binding::Kind::kNone) return std::nullopt;
   const auto& spec = *b->spec;
   if (!spec.readable) return std::nullopt;
@@ -504,7 +497,7 @@ std::optional<long> SchemaExecEnv::read_field(const codegen::FieldRef& ref,
 }
 
 bool SchemaExecEnv::write_field(const codegen::FieldRef& ref, long value) {
-  const Binding* b = binding(ref);
+  const Binding* b = binding(*pb_, ref);
   if (b == nullptr || b->kind == Binding::Kind::kNone) return false;
   const auto& spec = *b->spec;
   if (!spec.writable) return false;
@@ -807,18 +800,12 @@ bool SchemaExecEnv::write_option_bytes(std::uint8_t layer_slot,
 // -- bytes ------------------------------------------------------------------
 
 bool SchemaExecEnv::is_bytes_field(const codegen::FieldRef& ref) const {
-  const Binding* b = binding(ref);
-  if (b == nullptr) return false;
-  if (b->kind == Binding::Kind::kBytes) return true;
-  // Whole-option-value fields (dhcp.parameter_request_list) are bytes
-  // typed but option located.
-  return b->kind == Binding::Kind::kWireOption && b->spec != nullptr &&
-         b->spec->kind == schema::FieldKind::kBytes;
+  return schema::is_bytes_field(pb_->schema, ref.field_id);
 }
 
 std::optional<std::vector<std::uint8_t>> SchemaExecEnv::read_bytes(
     const codegen::FieldRef& ref, codegen::PacketSel sel) {
-  const Binding* b = binding(ref);
+  const Binding* b = binding(*pb_, ref);
   if (b == nullptr) return std::nullopt;
   if (b->kind == Binding::Kind::kWireOption &&
       b->spec->kind == schema::FieldKind::kBytes) {
@@ -833,7 +820,7 @@ std::optional<std::vector<std::uint8_t>> SchemaExecEnv::read_bytes(
 
 bool SchemaExecEnv::write_bytes(const codegen::FieldRef& ref,
                                 std::vector<std::uint8_t> value) {
-  const Binding* b = binding(ref);
+  const Binding* b = binding(*pb_, ref);
   if (b == nullptr) return false;
   if (b->kind == Binding::Kind::kWireOption &&
       b->spec->kind == schema::FieldKind::kBytes) {
@@ -855,8 +842,7 @@ std::vector<std::uint8_t> SchemaExecEnv::out_message_bytes(
 }
 
 bool SchemaExecEnv::is_bytes_function(const std::string& fn) const {
-  return (profile_ == Profile::kIcmp || profile_ == Profile::kIcmp6) &&
-         (fn == "original_datagram_excerpt" || fn == "copy_field");
+  return schema::is_bytes_function(pb_->schema, fn);
 }
 
 std::optional<long> SchemaExecEnv::icmp_call_scalar(
@@ -1053,16 +1039,11 @@ void SchemaExecEnv::set_scenario(const std::string& name) {
 }
 
 long SchemaExecEnv::resolve_symbol(const std::string& name) {
-  const std::string lower = util::to_lower(name);
-  if (pb_->schema != nullptr) {
-    if (pb_->schema->scenario_symbol && lower == "scenario") {
-      return scenario_value_;
-    }
-    for (const auto& s : pb_->schema->symbols) {
-      if (s.name == lower) return s.value;
-    }
+  if (pb_->schema != nullptr && pb_->schema->scenario_symbol &&
+      util::to_lower(name) == "scenario") {
+    return scenario_value_;
   }
-  return util::symbol_value(name);
+  return schema::symbol_value(pb_->schema, name);
 }
 
 // -- finalization and typed views -------------------------------------------

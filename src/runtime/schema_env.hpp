@@ -12,9 +12,11 @@
 //
 //   read_field(ref, sel)  ->  bindings[ref.field_id]  ->  bit extraction
 //
-// so the interpreter hot path does no string comparisons once codegen
-// has attached field ids (refs without ids fall back to a registry
-// lookup by name and behave identically).
+// so the interpreter hot path does no string comparisons: every FieldRef
+// carries the registry id its constructor resolved, and a ref with id -1
+// (not a registered field) has no binding — reads fail, writes are
+// refused. Which fields and framework functions are byte-valued, and
+// what a symbol means, are net::schema queries shared with codegen.
 //
 // Outgoing headers are kept as serialized byte images, not structs: a
 // write lands the bits exactly where the wire format puts them, and
@@ -252,7 +254,10 @@ class SchemaExecEnv : public ExecEnv {
 
   static const ProtocolBinding& binding_for(const std::string& protocol);
 
-  const Binding* binding(const codegen::FieldRef& ref) const;
+  /// The binding for `ref`'s registry id; nullptr for an unregistered
+  /// field (id -1).
+  static const Binding* binding(const ProtocolBinding& pb,
+                                const codegen::FieldRef& ref);
   void apply_image_defaults();
   const net::schema::DefaultSpec* layer_default(const std::string& layer,
                                                 const std::string& field) const;

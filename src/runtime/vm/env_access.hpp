@@ -21,19 +21,11 @@ struct EnvAccess {
     return SchemaExecEnv::binding_for(protocol);
   }
 
-  /// Mirror of SchemaExecEnv::binding(): dense id when annotated,
-  /// registry name lookup otherwise. Resolvable statically because the
-  /// registry is immutable.
+  /// The env's own binding lookup, at program-compile time (the tables
+  /// are immutable).
   static const Binding* plan(const ProtocolBinding& pb,
                              const codegen::FieldRef& ref) {
-    if (ref.field_id >= 0 &&
-        static_cast<std::size_t>(ref.field_id) < pb.by_id.size()) {
-      return &pb.by_id[static_cast<std::size_t>(ref.field_id)];
-    }
-    const auto* spec =
-        net::schema::SchemaRegistry::instance().field(ref.layer, ref.field);
-    if (spec == nullptr) return nullptr;
-    return &pb.by_id[static_cast<std::size_t>(spec->id)];
+    return SchemaExecEnv::binding(pb, ref);
   }
 
   static const void* binding_key(const SchemaExecEnv& env) { return env.pb_; }

@@ -571,21 +571,7 @@ ExecResult execute(const Program& program, SchemaExecEnv& env,
 
   bool use_goto = false;
 #if defined(SAGE_VM_HAVE_COMPUTED_GOTO)
-  switch (mode) {
-    case DispatchMode::kComputedGoto:
-      use_goto = true;
-      break;
-    case DispatchMode::kSwitch:
-      use_goto = false;
-      break;
-    case DispatchMode::kDefault:
-#if defined(SAGE_VM_FORCE_SWITCH)
-      use_goto = false;
-#else
-      use_goto = true;
-#endif
-      break;
-  }
+  use_goto = mode != DispatchMode::kSwitch;
 #else
   (void)mode;
 #endif

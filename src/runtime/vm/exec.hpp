@@ -5,8 +5,7 @@
 // switch loop. The switch loop is ALWAYS compiled — it is the reference
 // dispatcher and the fallback for toolchains without the extension — and
 // tests exercise it explicitly via DispatchMode::kSwitch, so a build
-// where it rotted fails fast. Configuring with -DSAGE_VM_FORCE_SWITCH=ON
-// makes it the default dispatcher too.
+// where it rotted fails fast.
 //
 // Execution semantics are bit-for-bit those of the tree interpreter
 // (runtime/interpreter.cpp): same env accesses in the same order, same
@@ -32,9 +31,8 @@ namespace sage::runtime::vm {
 enum class ExecBackend : std::uint8_t { kTree, kThreaded };
 
 /// Dispatcher selection inside the threaded backend. kDefault picks
-/// computed goto when the toolchain has it (and the build didn't force
-/// the switch loop); requesting kComputedGoto without support falls back
-/// to the switch loop.
+/// computed goto when the toolchain has it; requesting kComputedGoto
+/// without support falls back to the switch loop.
 enum class DispatchMode : std::uint8_t { kDefault, kComputedGoto, kSwitch };
 
 /// True when this build carries the computed-goto dispatcher.

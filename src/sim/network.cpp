@@ -227,8 +227,10 @@ void Network::inject(Pending pending) {
 void Network::send_from_host(const std::string& host_name,
                              std::span<const std::uint8_t> packet) {
   ensure_index();
-  inject(Pending{Pending::Kind::kTransmit, lookup_node(host_name), nullptr,
-                 intern(packet), kHopBudget});
+  const NodeRef from = lookup_node(host_name);
+  if (from.empty()) return;
+  inject(Pending{Pending::Kind::kTransmit, from, nullptr, intern(packet),
+                 kHopBudget});
 }
 
 void Network::send_from_host(Host& host, std::span<const std::uint8_t> packet) {
@@ -241,7 +243,7 @@ void Network::send_from_host_via_router(const std::string& host_name,
                                         std::span<const std::uint8_t> packet) {
   ensure_index();
   const NodeRef from = lookup_node(host_name);
-  Router* via = injection_gateway(from);
+  Router* via = from.empty() ? nullptr : injection_gateway(from);
   if (via == nullptr) return;
   inject(Pending{Pending::Kind::kInjectVia, from, via, intern(packet),
                  kHopBudget});
@@ -252,6 +254,7 @@ void Network::schedule_from_host(const std::string& host_name,
                                  std::uint64_t delay_ns, bool via_router) {
   ensure_index();
   const NodeRef from = lookup_node(host_name);
+  if (from.empty()) return;
   Router* via = via_router ? injection_gateway(from) : nullptr;
   if (via_router && via == nullptr) return;
   queue_.push(now_ns_ + delay_ns,

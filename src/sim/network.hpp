@@ -213,7 +213,9 @@ class Network {
   /// delivered, dropped, or the hop budget is exhausted; replies
   /// generated along the way are routed too, and the queue is drained to
   /// quiescence before returning. Every transmission is
-  /// appended to the capture log.
+  /// appended to the capture log. A name the network does not have is a
+  /// no-op: nothing is injected or captured (here and in the by-name
+  /// variants below).
   void send_from_host(const std::string& host_name,
                       std::span<const std::uint8_t> packet);
 
@@ -296,6 +298,7 @@ class Network {
   struct NodeRef {
     Host* host = nullptr;
     Router* router = nullptr;
+    bool empty() const { return host == nullptr && router == nullptr; }
     const std::string& name() const {
       return host != nullptr ? host->name() : router->name();
     }

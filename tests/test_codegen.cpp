@@ -302,6 +302,30 @@ TEST(Generator, FailedSentenceReported) {
   ASSERT_EQ(outcome.diagnostics.size(), 1u);
 }
 
+TEST(Generator, UnresolvedFieldFailsItsSentence) {
+  const StaticContext statics = StaticContext::standard();
+  const HandlerRegistry registry = HandlerRegistry::standard();
+  const CodeGenerator generator(&statics, &registry);
+
+  // A bare number assigns the field the sentence describes; the dynamic
+  // context names a field the packet-schema registry does not have, so
+  // the sentence fails exactly like a form that does not convert.
+  SentenceLf s;
+  s.form = lf::LfNode::num(7);
+  s.context.protocol = "ICMP";
+  s.context.field = "Frobnicator";
+  s.sentence = "The frobnicator is 7.";
+  const auto outcome = generator.generate(
+      "ICMP", "Echo or Echo Reply Message", "sender", {&s, 1});
+  ASSERT_EQ(outcome.failed_sentences.size(), 1u);
+  EXPECT_EQ(outcome.failed_sentences[0], s.sentence);
+  ASSERT_EQ(outcome.diagnostics.size(), 1u);
+  EXPECT_EQ(outcome.diagnostics[0], "unresolved field icmp.frobnicator");
+  ASSERT_TRUE(outcome.function.has_value());
+  EXPECT_EQ(outcome.function->body.executable_count(), 0u);
+  EXPECT_EQ(outcome.function->c_source.find("frobnicator"), std::string::npos);
+}
+
 TEST(Stmt, ExecutableCount) {
   Stmt s = Stmt::seq({Stmt::assign({"a", "b"}, Expr::constant(1)),
                       Stmt::comment("x"),

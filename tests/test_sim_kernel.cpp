@@ -480,6 +480,28 @@ TEST(EventKernel, ClearTransientKeepsTopologyAndClock) {
   EXPECT_NE(net.find_host("client"), nullptr);
 }
 
+TEST(EventKernel, UnknownHostNameIsANoOp) {
+  // Every by-name injection point ignores a name the network lacks:
+  // nothing is captured, queued or delivered, and the network stays
+  // usable afterwards.
+  ReferenceIcmpResponder responder;
+  Network net = make_appendix_a_network();
+  net.router()->set_responder(&responder);
+  const auto request = PingClient::make_echo_request(
+      net::IpAddr(10, 0, 1, 100), net::IpAddr(10, 0, 1, 1), PingOptions{});
+  net.send_from_host("nobody", request);
+  net.send_from_host_via_router("nobody", request);
+  net.schedule_from_host("nobody", request, 1000);
+  net.schedule_from_host("nobody", request, 1000, /*via_router=*/true);
+  EXPECT_EQ(net.run(), 0u);
+  EXPECT_TRUE(net.capture().empty());
+  EXPECT_EQ(net.events_processed(), 0u);
+  EXPECT_EQ(net.now_ns(), 0u);
+
+  net.send_from_host("client", request);
+  EXPECT_EQ(net.capture().size(), 2u) << "request + reply after the no-ops";
+}
+
 // --- 3. Fault-injection timing --------------------------------------------
 
 std::vector<std::uint8_t> echo_to_router(std::uint16_t sequence) {

@@ -16,11 +16,13 @@
 #include "core/generated_icmp.hpp"
 #include "net/icmp.hpp"
 #include "net/ipv4.hpp"
+#include "net/ipv6.hpp"
 #include "runtime/interpreter.hpp"
 #include "runtime/schema_env.hpp"
 #include "runtime/vm/exec.hpp"
 #include "runtime/vm/program.hpp"
 #include "sim/ping.hpp"
+#include "util/bytes.hpp"
 
 namespace sage::runtime {
 namespace {
@@ -38,28 +40,51 @@ std::vector<std::uint8_t> echo_request() {
                                             {0xde, 0xad, 0xbe, 0xef});
 }
 
-codegen::GeneratedFunction wrap(std::vector<Stmt> body) {
+const net::Ip6Addr kClient6 =
+    net::Ip6Addr::from_groups(0x2001, 0xdb8, 0, 0, 0, 0, 0, 1);
+const net::Ip6Addr kServer6 =
+    net::Ip6Addr::from_groups(0x2001, 0xdb8, 0, 0, 0, 0, 0, 2);
+
+std::vector<std::uint8_t> echo6_request() {
+  std::vector<std::uint8_t> msg = {128, 0, 0, 0, 0x12, 0x34, 0, 1,
+                                   0xde, 0xad, 0xbe, 0xef};
+  net::Ipv6Header ip;
+  ip.next_header = net::kIpProtoIcmp6;
+  ip.src = kClient6;
+  ip.dst = kServer6;
+  util::put_be16({msg.data() + 2, 2}, net::icmp6_checksum(ip.src, ip.dst, msg));
+  return net::build_ipv6_packet(ip, msg);
+}
+
+codegen::GeneratedFunction wrap(std::vector<Stmt> body,
+                                const std::string& protocol = "ICMP") {
   codegen::GeneratedFunction fn;
   fn.name = "vm_test_fn";
-  fn.protocol = "ICMP";
+  fn.protocol = protocol;
   fn.body = Stmt::seq(std::move(body));
   return fn;
 }
 
-/// Run `body` on both backends against identically-constructed ICMP
-/// envs and demand full observable agreement: result flag, error text
-/// in order, and the serialized reply.
+/// Run `body` on both backends against identically-constructed ICMP (or
+/// ICMPv6) echo envs and demand full observable agreement: result flag,
+/// error text in order, and the serialized reply.
 void expect_parity(std::vector<Stmt> body, const std::string& scenario = "",
-                   vm::DispatchMode mode = vm::DispatchMode::kDefault) {
-  const auto fn = wrap(std::move(body));
+                   vm::DispatchMode mode = vm::DispatchMode::kDefault,
+                   const std::string& protocol = "ICMP") {
+  const auto fn = wrap(std::move(body), protocol);
   const auto program = vm::compile(fn);
   ASSERT_TRUE(program.has_value());
 
-  const auto request = echo_request();
-  auto env_tree = SchemaExecEnv::icmp(request, net::IpAddr(10, 0, 1, 1),
-                                      /*start_from_incoming=*/true);
-  auto env_vm = SchemaExecEnv::icmp(request, net::IpAddr(10, 0, 1, 1),
+  const bool v6 = protocol == "ICMP6";
+  const auto request = v6 ? echo6_request() : echo_request();
+  const auto make_env = [&] {
+    return v6 ? SchemaExecEnv::icmp6(request, kServer6,
+                                     /*start_from_incoming=*/true)
+              : SchemaExecEnv::icmp(request, net::IpAddr(10, 0, 1, 1),
                                     /*start_from_incoming=*/true);
+  };
+  auto env_tree = make_env();
+  auto env_vm = make_env();
   if (!scenario.empty()) {
     env_tree.set_scenario(scenario);
     env_vm.set_scenario(scenario);
@@ -164,6 +189,12 @@ TEST(VmParity, BytesAssignmentVariants) {
   expect_parity({Stmt::assign({"icmp", "data"}, Expr::call("copy_field"))});
   // ...and a bytes source that cannot produce bytes (tree error text).
   expect_parity({Stmt::assign({"icmp", "data"}, Expr::call("no_such_bytes"))});
+  // ICMPv6 lists the same byte-valued framework functions as ICMP: an
+  // excerpt assigned to a scalar field is a bytes assignment on both
+  // backends ("cannot write bytes field icmp6.code").
+  expect_parity({Stmt::assign({"icmp6", "code"},
+                              Expr::call("original_datagram_excerpt"))},
+                "", vm::DispatchMode::kDefault, "ICMP6");
 }
 
 TEST(VmParity, ScenarioSymbolIsPerRun) {

@@ -126,9 +126,6 @@ void dump_parse_stats(const std::string& text, const std::string& proto,
   printf("chart arena reserved   : %zu bytes\n", total.arena_bytes_reserved);
   printf("chart arena high-water : %zu bytes\n", total.arena_high_water);
   printf("chart arena resets     : %zu\n", total.arena_resets);
-  const auto schema = codegen::schema_resolution_stats();
-  printf("schema field refs resolved   : %zu\n", schema.resolved);
-  printf("schema field refs unresolved : %zu\n", schema.unresolved);
 }
 
 void run(const char* name, const std::string& text, const std::string& proto,
@@ -171,7 +168,6 @@ void run(const char* name, const std::string& text, const std::string& proto,
   }
   printf("discovered non-actionable: %zu\n", run.discovered_non_actionable.size());
   for (auto& d : run.discovered_non_actionable) printf("  DISC: %s\n", d.c_str());
-  for (auto& u : run.unresolved_fields) printf("  UNRESOLVED FIELD: %s\n", u.c_str());
   if (verbose) {
     for (auto& f : run.functions) printf("---- %s\n%s\n", f.name.c_str(), f.c_source.c_str());
   }
