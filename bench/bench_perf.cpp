@@ -45,13 +45,12 @@ void BM_Chunk(benchmark::State& state) {
 BENCHMARK(BM_Chunk);
 
 void BM_CcgParse(benchmark::State& state) {
-  const auto lexicon = corpus::make_lexicon();
   const auto dict = corpus::make_term_dictionary();
   const nlp::NounPhraseChunker chunker(&dict);
   ccg::ParserOptions options;
   options.enable_composition = state.range(0) != 0;
   options.enable_type_raising = state.range(0) != 0;
-  const ccg::CcgParser parser(&lexicon, options);
+  const ccg::CcgParser parser(corpus::shared_lexicon().get(), options);
   const auto tokens = chunker.chunk(nlp::tokenize(kSentence));
   for (auto _ : state) {
     benchmark::DoNotOptimize(parser.parse(tokens));
@@ -61,10 +60,9 @@ void BM_CcgParse(benchmark::State& state) {
 BENCHMARK(BM_CcgParse)->Arg(1)->Arg(0);
 
 void BM_Winnow(benchmark::State& state) {
-  const auto lexicon = corpus::make_lexicon();
   const auto dict = corpus::make_term_dictionary();
   const nlp::NounPhraseChunker chunker(&dict);
-  const ccg::CcgParser parser(&lexicon);
+  const ccg::CcgParser parser(corpus::shared_lexicon().get());
   const auto base = parser.parse(chunker.chunk(nlp::tokenize(kSentence))).forms;
   const disambig::Winnower winnower(disambig::all_checks());
   for (auto _ : state) {

@@ -21,8 +21,7 @@ int main() {
       "The 'address' of the 'source' in an 'echo message' will be the "
       "'destination' of the 'echo reply message'.";
 
-  const auto lexicon = corpus::make_lexicon();
-  const ccg::CcgParser parser(&lexicon);
+  const ccg::CcgParser parser(corpus::shared_lexicon().get());
 
   const auto count = [&parser](const std::string& sentence) {
     return parser.parse(nlp::tokenize(sentence)).forms.size();

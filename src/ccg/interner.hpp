@@ -17,9 +17,12 @@
 // Concurrency: the tables are mutex-striped (shard = high hash bits), so
 // parallel parses interning different structures almost never contend.
 // Entries are intentionally immortal — the table owns one shared_ptr per
-// distinct structure. Growth is bounded in practice because parse-time
-// variable ids restart at the same base for every parse (see VarGen in
-// term.hpp): repeated workloads re-intern the same finite node universe.
+// distinct structure. The term table is bounded by the text a process
+// parses, not by how often it parses it: the lexicon is built, and its
+// binders interned, once per process (corpus::shared_lexicon), and
+// parse-time variable ids restart at the same base for every parse (see
+// VarGen in term.hpp), so re-parsing text any Sage has parsed before —
+// a fresh Sage included — re-interns existing nodes only.
 // `category_interner_size()` / `term_interner_size()` expose the live
 // table sizes for `sage_debug --parse-stats` and the property tests.
 #pragma once

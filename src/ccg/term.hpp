@@ -62,15 +62,18 @@ TermPtr mk_str(std::string value);
 TermPtr mk_num(long value);
 
 /// Base id for lexicon/surface-syntax binders (process-wide counter —
-/// fresh_var() below). Kept disjoint from parse-time ids so substitution
+/// fresh_var() below). The lexicon is parsed once per process
+/// (corpus::shared_lexicon), so its binder ids are fixed for the
+/// process's lifetime. Kept disjoint from parse-time ids so substitution
 /// can never capture (every binder id in a term is unique).
 inline constexpr int kLexVarBase = 1'000'000;
 
 /// Base id for parse-time fresh variables: every CcgParser::parse call
 /// restarts its own VarGen here, so rendered terms, derivations, and
-/// dedup identities are deterministic regardless of thread interleaving
-/// — and the term interner stays bounded across a batch run (repeated
-/// parses re-intern the same ids instead of minting new ones forever).
+/// dedup identities are deterministic regardless of thread interleaving.
+/// Together with the once-per-process lexicon this bounds the term
+/// interner by the distinct text parsed: a repeated parse, in any Sage,
+/// re-interns the same ids instead of minting new ones.
 inline constexpr int kParseVarBase = 1'000'000'000;
 
 /// Reserved binder id for the type-raising wrapper \f.f(x). Outside both

@@ -29,14 +29,12 @@ std::size_t ProtocolRun::count(SentenceStatus status) const {
 }
 
 Sage::Sage()
-    : lexicon_(corpus::make_lexicon()),
+    : lexicon_(corpus::shared_lexicon()),
       dictionary_(corpus::make_term_dictionary()),
       winnower_(disambig::all_checks()),
       handlers_(codegen::HandlerRegistry::standard()),
       statics_(codegen::StaticContext::standard()),
-      parse_cache_(std::make_shared<ccg::ParseCache>()) {
-  for (auto& word : lexicon_.words()) closed_class_.insert(std::move(word));
-}
+      parse_cache_(std::make_shared<ccg::ParseCache>()) {}
 
 void Sage::annotate_non_actionable(const std::vector<std::string>& sentences) {
   for (const auto& s : sentences) {
@@ -95,7 +93,7 @@ SentenceReport Sage::analyze_sentence(const rfc::SpecSentence& sentence,
   // Tokenize + noun-phrase labeling.
   const nlp::NounPhraseChunker chunker(
       options.use_term_dictionary ? &dictionary_ : &empty_dictionary_,
-      &closed_class_);
+      &corpus::lexicon_words());
   nlp::ChunkingMode mode = options.chunking;
   if (!options.use_term_dictionary && mode == nlp::ChunkingMode::kFull) {
     mode = nlp::ChunkingMode::kNoDictionary;
@@ -140,7 +138,7 @@ ccg::CachedParse Sage::parse_with_context(
   }
 
   ccg::CachedParse out;
-  const ccg::CcgParser parser(&lexicon_, options);
+  const ccg::CcgParser parser(lexicon_.get(), options);
   auto parsed = parser.parse(tokens);
   out.unknown_tokens = std::move(parsed.unknown_tokens);
 

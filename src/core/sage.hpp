@@ -11,7 +11,6 @@
 #include <optional>
 #include <set>
 #include <string>
-#include <unordered_set>
 #include <vector>
 
 #include "ccg/lexicon.hpp"
@@ -130,7 +129,7 @@ class Sage {
   }
 
   // -- component access for benches and examples ---------------------------
-  const ccg::Lexicon& lexicon() const { return lexicon_; }
+  const ccg::Lexicon& lexicon() const { return *lexicon_; }
   const nlp::TermDictionary& dictionary() const { return dictionary_; }
   const disambig::Winnower& winnower() const { return winnower_; }
   const codegen::HandlerRegistry& handlers() const { return handlers_; }
@@ -163,10 +162,9 @@ class Sage {
                            const std::string& protocol,
                            const SageOptions& options, util::ThreadPool* pool);
 
-  ccg::Lexicon lexicon_;
+  std::shared_ptr<const ccg::Lexicon> lexicon_;  // corpus::shared_lexicon()
   nlp::TermDictionary dictionary_;
   nlp::TermDictionary empty_dictionary_;
-  std::unordered_set<std::string> closed_class_;  // the lexicon's words
   disambig::Winnower winnower_;
   codegen::HandlerRegistry handlers_;
   codegen::StaticContext statics_;

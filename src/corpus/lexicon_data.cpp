@@ -1,8 +1,9 @@
 #include "corpus/lexicon_data.hpp"
 
 namespace sage::corpus {
+namespace {
 
-ccg::Lexicon make_lexicon() {
+ccg::Lexicon build_lexicon() {
   ccg::Lexicon lex;
   const auto icmp = [&lex](const char* w, const char* cat, const char* sem) {
     lex.add(w, cat, sem, "icmp");
@@ -163,6 +164,24 @@ ccg::Lexicon make_lexicon() {
   bgp("openconfirm", "NP", "\"OpenConfirm\"");
 
   return lex;
+}
+
+}  // namespace
+
+std::shared_ptr<const ccg::Lexicon> shared_lexicon() {
+  // A function-local static is initialised once, thread-safely; every
+  // later call only reads it.
+  static const auto lexicon =
+      std::make_shared<const ccg::Lexicon>(build_lexicon());
+  return lexicon;
+}
+
+const std::unordered_set<std::string>& lexicon_words() {
+  static const auto words = [] {
+    const auto list = shared_lexicon()->words();
+    return std::unordered_set<std::string>(list.begin(), list.end());
+  }();
+  return words;
 }
 
 }  // namespace sage::corpus

@@ -12,11 +12,23 @@
 //   CONJ coordination marker (binarized coordination rule)
 #pragma once
 
+#include <memory>
+#include <string>
+#include <unordered_set>
+
 #include "ccg/lexicon.hpp"
 
 namespace sage::corpus {
 
-/// Build the full lexicon (ICMP + IGMP + NTP + BFD entries).
-ccg::Lexicon make_lexicon();
+/// The full lexicon (ICMP + IGMP + NTP + BFD entries), built once per
+/// process on first use and shared read-only. Building it numbers the
+/// entries' binders from the process-wide fresh_var() counter, so one
+/// shared instance is what keeps lexicon terms, and every parse result
+/// built from them, the same interned nodes for every caller.
+std::shared_ptr<const ccg::Lexicon> shared_lexicon();
+
+/// The lexicon's distinct surface words (the closed-class vocabulary the
+/// chunker's no-dictionary mode keeps), built once alongside it.
+const std::unordered_set<std::string>& lexicon_words();
 
 }  // namespace sage::corpus

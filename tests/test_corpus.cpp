@@ -32,7 +32,7 @@ TEST(Terms, CoversTheEvaluatedVocabulary) {
 
 TEST(Lexicon, PaperEntryCounts) {
   // §6.1/§6.3/§6.4: 71 for ICMP, +8 IGMP, +5 NTP, +15 BFD.
-  const auto lexicon = make_lexicon();
+  const ccg::Lexicon& lexicon = *shared_lexicon();
   EXPECT_EQ(lexicon.count_by_source("icmp"), 71u);
   EXPECT_EQ(lexicon.count_by_source("igmp"), 8u);
   EXPECT_EQ(lexicon.count_by_source("ntp"), 5u);
@@ -41,7 +41,7 @@ TEST(Lexicon, PaperEntryCounts) {
 
 TEST(Lexicon, PaperExampleEntriesPresent) {
   // The three lexical entries §3 lists as examples.
-  const auto lexicon = make_lexicon();
+  const ccg::Lexicon& lexicon = *shared_lexicon();
   EXPECT_TRUE(lexicon.contains("checksum") ||
               make_term_dictionary().contains("checksum"));
   ASSERT_FALSE(lexicon.lookup("is").empty());

@@ -1,7 +1,9 @@
 // Property tests for the hash-consing interner (src/ccg/interner.hpp):
-// canonical pointers, stable hashes/ids, and thread-safety of concurrent
-// interning (this file runs under the `concurrency` ctest label, so the
-// TSan preset covers the striped-lock paths).
+// canonical pointers, stable hashes/ids, thread-safety of concurrent
+// interning, and the bound that one shared lexicon per process puts on
+// the term table (this file runs under the `concurrency` ctest label, so
+// the TSan preset covers the striped-lock paths and the lexicon's
+// one-time initialisation).
 #include <gtest/gtest.h>
 
 #include <atomic>
@@ -11,6 +13,10 @@
 #include "ccg/category.hpp"
 #include "ccg/interner.hpp"
 #include "ccg/term.hpp"
+#include "core/batch.hpp"
+#include "core/sage.hpp"
+#include "corpus/lexicon_data.hpp"
+#include "corpus/rfc792.hpp"
 
 namespace sage::ccg {
 namespace {
@@ -149,6 +155,58 @@ TEST(Interner, VarGenIsDeterministicPerParse) {
   const int lex = fresh_var();
   EXPECT_GE(lex, kLexVarBase);
   EXPECT_LT(lex, kTypeRaiseVar);
+}
+
+core::ProtocolRun process_rfc792_revised(core::Sage& sage) {
+  sage.annotate_non_actionable(corpus::icmp_non_actionable_annotations());
+  return sage.process(corpus::rfc792_revised(), "ICMP");
+}
+
+// Every Sage shares the process's one lexicon, so after a warm-up run a
+// second fresh Sage, and its run over the same text, intern no new term
+// and produce the same result.
+TEST(SharedLexicon, SecondFreshSageInternsNoTerms) {
+  core::Sage warm;
+  const core::ProtocolRun first = process_rfc792_revised(warm);
+  const std::size_t terms = term_interner_size();
+
+  core::Sage second;
+  EXPECT_EQ(term_interner_size(), terms);
+  const core::ProtocolRun again = process_rfc792_revised(second);
+  EXPECT_EQ(term_interner_size(), terms);
+
+  EXPECT_EQ(&second.lexicon(), &warm.lexicon());
+  EXPECT_EQ(core::protocol_run_signature(again),
+            core::protocol_run_signature(first));
+}
+
+// Sages constructed on several threads at once, before any other use of
+// the lexicon in this process, all see the one shared instance, and the
+// one word set derived from it.
+TEST(SharedLexicon, ConcurrentConstructionSeesOneLexicon) {
+  constexpr int kThreads = 4;
+  std::vector<const Lexicon*> seen(kThreads, nullptr);
+  std::vector<const void*> words(kThreads, nullptr);
+  std::atomic<int> start{0};
+
+  std::vector<std::thread> threads;
+  threads.reserve(kThreads);
+  for (int t = 0; t < kThreads; ++t) {
+    threads.emplace_back([t, &seen, &words, &start] {
+      start.fetch_add(1);
+      while (start.load() < kThreads) {
+      }  // maximize overlap
+      const core::Sage sage;
+      seen[t] = &sage.lexicon();
+      words[t] = &corpus::lexicon_words();
+    });
+  }
+  for (auto& th : threads) th.join();
+
+  for (int t = 0; t < kThreads; ++t) {
+    EXPECT_EQ(seen[t], corpus::shared_lexicon().get()) << "thread " << t;
+    EXPECT_EQ(words[t], &corpus::lexicon_words()) << "thread " << t;
+  }
 }
 
 }  // namespace

@@ -90,6 +90,7 @@ void exercise_icmp_backend(const core::ProtocolRun& run) {
 }
 
 void dump_parse_stats(const std::string& text, const std::string& proto,
+                      const std::vector<std::string>& annotations,
                       const core::Sage& s) {
   const rfc::RfcDocument doc = rfc::preprocess(text, proto);
   const auto sentences = rfc::extract_sentences(doc, proto);
@@ -123,6 +124,14 @@ void dump_parse_stats(const std::string& text, const std::string& proto,
   printf("beta steps      : %zu\n", total.beta_steps);
   printf("interned categories : %zu\n", ccg::category_interner_size());
   printf("interned terms      : %zu\n", ccg::term_interner_size());
+  // Every Sage shares the process's one lexicon, so a second fresh Sage
+  // over the same text rebuilds only terms that already exist.
+  const std::size_t terms_before = ccg::term_interner_size();
+  core::Sage fresh;
+  fresh.annotate_non_actionable(annotations);
+  fresh.process(text, proto);
+  printf("terms interned by a second fresh Sage: %zu\n",
+         ccg::term_interner_size() - terms_before);
   printf("chart arena reserved   : %zu bytes\n", total.arena_bytes_reserved);
   printf("chart arena high-water : %zu bytes\n", total.arena_high_water);
   printf("chart arena resets     : %zu\n", total.arena_resets);
@@ -178,7 +187,7 @@ void run(const char* name, const std::string& text, const std::string& proto,
   if (proto == "ICMP") exercise_icmp_backend(run);
   if (g_parse_stats) {
     runtime::vm::set_op_counting(false);
-    dump_parse_stats(text, proto, s);
+    dump_parse_stats(text, proto, annotations, s);
     dump_exec_stats();
     // The machine-readable snapshot (serve/stats.hpp): the same counters
     // a running sage_serve answers to a kStatsRequest, here for the
@@ -514,8 +523,9 @@ int run_soak(int argc, char** argv, int i) {
 }
 
 int main(int argc, char** argv) {
-  // usage: sage_debug [icmp|icmp-rev|igmp|ntp|bfd] [-v] [--jobs N]
-  //                   [--parse-stats] [--dump-schema] [--exec-backend B]
+  // usage: sage_debug [icmp|icmp-rev|icmp6|icmp6-rev|igmp|ntp|bfd] [-v]
+  //                   [--jobs N] [--parse-stats] [--dump-schema]
+  //                   [--exec-backend B]
   //        sage_debug --fuzz <protocol> [--seed N] [--iters M] [--jobs N]
   //                   [--faults SPEC] [--no-minimize] [--exec-backend B]
   //                   [--quiet]
@@ -589,7 +599,8 @@ int main(int argc, char** argv) {
     for (auto& s : corpus::bfd_state_sentences()) text += "      " + s + "\n";
     run("BFD", text, "BFD", {}, verbose);
   } else {
-    fprintf(stderr, "error: unknown corpus '%s' (expected icmp|icmp-rev|igmp|ntp|bfd)\n",
+    fprintf(stderr, "error: unknown corpus '%s' (expected "
+            "icmp|icmp-rev|icmp6|icmp6-rev|igmp|ntp|bfd)\n",
             which.c_str());
     return 2;
   }
