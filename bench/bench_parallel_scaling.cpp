@@ -178,7 +178,6 @@ int main() {
     std::fprintf(json, "}\n");
     std::fclose(json);
     benchutil::row("written", "BENCH_parallel_scaling.json");
-    benchutil::commit_scorecard("BENCH_parallel_scaling.json");
   }
   return all_identical ? 0 : 1;
 }

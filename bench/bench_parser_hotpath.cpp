@@ -12,7 +12,9 @@
 //     instrumented global operator new/delete in this TU.
 //
 // Results are written to BENCH_parser_hotpath.json; EXPERIMENTS.md
-// records the pre-interning baseline for the speedup claim.
+// records the pre-interning baseline for the speedup claim. Exit is
+// nonzero above 5,000 allocs/pass; the `perf-smoke` ctest runs this
+// gate at 2 passes (`bench_parser_hotpath 2`).
 #include <malloc.h>
 
 #include <atomic>
@@ -233,7 +235,6 @@ int main(int argc, char** argv) {
     std::fprintf(json, "}\n");
     std::fclose(json);
     benchutil::row("written", "BENCH_parser_hotpath.json");
-    benchutil::commit_scorecard("BENCH_parser_hotpath.json");
   }
 
   // Alloc gate: the arena-backed chart must keep the parser's steady-state

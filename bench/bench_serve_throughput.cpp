@@ -1,4 +1,4 @@
-// Serve daemon throughput (not a paper artifact; ISSUE PR 9 satellite).
+// Serve daemon throughput (not a paper artifact).
 //
 // Measures jobs/second for the same mixed parse+codegen batch in two
 // configurations:
@@ -8,19 +8,21 @@
 //   * warm daemon: one Server with a warmed session pipeline cache,
 //     batch submitted through a loopback Client, at 1/2/4/8 workers.
 //
-// Honest framing (same as BENCH_fuzz_throughput): this container has a
-// single CPU, so the win comes from the session caches — each corpus'
-// pipeline runs and compiles once, then every later job is a
-// hash-lookup — not from thread parallelism. The per-worker rows exist
-// to show scaling is not negative and the determinism contract holds:
-// every configuration's response digests must equal the one-shot run's.
+// Framing (same as BENCH_fuzz_throughput): most of the win comes from
+// the session caches — each corpus' pipeline runs and compiles once,
+// then every later job is a hash-lookup. Thread parallelism adds at most
+// what the host's CPU count allows; the bench prints and records
+// std::thread::hardware_concurrency() so a reader can tell which. The
+// per-worker rows also show the determinism contract holds: every
+// configuration's response digests must equal the one-shot run's.
 //
-// Results go to BENCH_serve_throughput.json via benchutil::
-// commit_scorecard. Exit is nonzero if determinism breaks or the warm
-// daemon at 4 workers is below 3x one-shot throughput (the ISSUE gate).
+// Results are written to BENCH_serve_throughput.json. Exit is nonzero if
+// determinism breaks or the warm daemon at 4 workers is below 3x
+// one-shot throughput.
 #include <chrono>
 #include <cstdio>
 #include <string>
+#include <thread>
 #include <vector>
 
 #include "bench_util.hpp"
@@ -70,6 +72,8 @@ int main() {
 
   const std::vector<serve::Frame> jobs = batch();
   char buf[160];
+  benchutil::row("hardware threads",
+                 std::to_string(std::thread::hardware_concurrency()));
 
   // One-shot baseline: a cold Server per job — the pipeline re-derived
   // every time, as each `sage_debug` invocation pays it.
@@ -145,10 +149,12 @@ int main() {
                  "  \"workload\": \"%zu mixed parse+codegen jobs over 5 "
                  "corpora\",\n",
                  jobs.size());
+    std::fprintf(json, "  \"hardware_concurrency\": %u,\n",
+                 std::thread::hardware_concurrency());
     std::fprintf(json,
-                 "  \"note\": \"single-CPU container: speedup is session-"
-                 "cache amortization (pipeline + handler compilation once "
-                 "per corpus), not thread parallelism\",\n");
+                 "  \"note\": \"speedup is session-cache amortization "
+                 "(pipeline + handler compilation once per corpus) plus "
+                 "thread parallelism bounded by hardware_concurrency\",\n");
     std::fprintf(json, "  \"oneshot_jobs_per_s\": %.1f,\n", oneshot_jps);
     std::fprintf(json, "  \"warm_daemon\": [\n");
     for (std::size_t i = 0; i < points.size(); ++i) {
@@ -166,7 +172,6 @@ int main() {
     std::fprintf(json, "}\n");
     std::fclose(json);
     benchutil::row("written", "BENCH_serve_throughput.json");
-    benchutil::commit_scorecard("BENCH_serve_throughput.json");
   }
   return all_ok ? 0 : 1;
 }

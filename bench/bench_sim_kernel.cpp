@@ -255,7 +255,6 @@ int main() {
     std::fprintf(json, "}\n");
     std::fclose(json);
     benchutil::row("written", "BENCH_sim_kernel.json");
-    benchutil::commit_scorecard("BENCH_sim_kernel.json");
   }
   return (all_identical && gate) ? 0 : 1;
 }

@@ -32,33 +32,4 @@ inline std::string percent(double fraction) {
   return buf;
 }
 
-/// Copy a just-written BENCH_*.json scorecard from the working directory
-/// into the tracked bench/results/ snapshot directory (the build defines
-/// SAGE_BENCH_RESULTS_DIR), so the perf trajectory survives clean build
-/// trees. Call after closing the scorecard; no-op when the definition is
-/// absent or either file cannot be opened.
-inline void commit_scorecard(const std::string& filename) {
-#ifdef SAGE_BENCH_RESULTS_DIR
-  FILE* in = std::fopen(filename.c_str(), "rb");
-  if (in == nullptr) return;
-  const std::string dest =
-      std::string(SAGE_BENCH_RESULTS_DIR) + "/" + filename;
-  FILE* out = std::fopen(dest.c_str(), "wb");
-  if (out == nullptr) {
-    std::fclose(in);
-    return;
-  }
-  char buf[4096];
-  std::size_t n = 0;
-  while ((n = std::fread(buf, 1, sizeof buf, in)) > 0) {
-    std::fwrite(buf, 1, n, out);
-  }
-  std::fclose(out);
-  std::fclose(in);
-  row("committed", dest);
-#else
-  (void)filename;
-#endif
-}
-
 }  // namespace sage::benchutil

@@ -275,7 +275,6 @@ int main() {
                  sig_stable ? "true" : "false");
     std::fclose(json);
     benchutil::row("written", "BENCH_vm_exec.json");
-    benchutil::commit_scorecard("BENCH_vm_exec.json");
   }
   return (speedup >= 5.0 && sig_stable) ? 0 : 1;
 }

@@ -12,9 +12,9 @@
 // text + numeric value per token), a fingerprint of the dynamic context
 // the pipeline folds into parsing (the structural "field" subject plus
 // chunking configuration), and a hash of every ParserOptions knob.
-// Distinct options can therefore never alias to the same entry — an
-// ablation run with composition disabled does not poison the cache for
-// the full-grammar run.
+// Distinct options can therefore never alias to the same entry — a run
+// with a lower per-cell edge cap does not poison the cache for a run with
+// the default cap.
 //
 // Concurrency: sharded LRU with one mutex per shard (mutex striping).
 // Shard choice is the key hash, so two threads parsing different

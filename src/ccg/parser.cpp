@@ -392,15 +392,13 @@ ParseResult CcgParser::parse(const std::vector<nlp::Token>& tokens) const {
                   e.id);
       }
     }
-    if (options_.enable_type_raising) {
-      const std::size_t base2 = chart.cell(i, 1).edges.size();
-      for (std::size_t k = 0; k < base2; ++k) {
-        const Edge e = chart.cell(i, 1).edges[k];
-        if (e.cat.get() == cat_NP().get()) {
-          // NP -> S/(S\NP) : \f. f(x)
-          chart.add(i, 1, Edge{cat_S_fwd_S_back_NP(), type_raised(e.sem)},
-                    [] { return "type raising"; }, e.id);
-        }
+    const std::size_t base2 = chart.cell(i, 1).edges.size();
+    for (std::size_t k = 0; k < base2; ++k) {
+      const Edge e = chart.cell(i, 1).edges[k];
+      if (e.cat.get() == cat_NP().get()) {
+        // NP -> S/(S\NP) : \f. f(x)
+        chart.add(i, 1, Edge{cat_S_fwd_S_back_NP(), type_raised(e.sem)},
+                  [] { return "type raising"; }, e.id);
       }
     }
   }
@@ -433,38 +431,36 @@ ParseResult CcgParser::parse(const std::vector<nlp::Token>& tokens) const {
                   [] { return "backward application"; }, l.id, r.id);
       }
     }
-    if (options_.enable_composition) {
-      // Forward composition: X/Y  Y/Z  =>  X/Z
-      if (!l.cat->is_primitive() && !r.cat->is_primitive() &&
-          l.cat->slash() == Category::Slash::kForward &&
-          r.cat->slash() == Category::Slash::kForward &&
-          l.cat->arg().get() == r.cat->result().get()) {
-        const int z = vg.fresh();
-        if (TermPtr sem = reduce_or_drop(
-                mk_lam(z, mk_app(l.sem, mk_app(r.sem, mk_var(z)))))) {
-          chart.add(start, span,
-                    Edge{Category::complex(l.cat->result(),
-                                           Category::Slash::kForward,
-                                           r.cat->arg()),
-                         std::move(sem)},
-                    [] { return "forward composition"; }, l.id, r.id);
-        }
+    // Forward composition: X/Y  Y/Z  =>  X/Z
+    if (!l.cat->is_primitive() && !r.cat->is_primitive() &&
+        l.cat->slash() == Category::Slash::kForward &&
+        r.cat->slash() == Category::Slash::kForward &&
+        l.cat->arg().get() == r.cat->result().get()) {
+      const int z = vg.fresh();
+      if (TermPtr sem = reduce_or_drop(
+              mk_lam(z, mk_app(l.sem, mk_app(r.sem, mk_var(z)))))) {
+        chart.add(start, span,
+                  Edge{Category::complex(l.cat->result(),
+                                         Category::Slash::kForward,
+                                         r.cat->arg()),
+                       std::move(sem)},
+                  [] { return "forward composition"; }, l.id, r.id);
       }
-      // Backward composition: Y\Z  X\Y  =>  X\Z
-      if (!l.cat->is_primitive() && !r.cat->is_primitive() &&
-          l.cat->slash() == Category::Slash::kBackward &&
-          r.cat->slash() == Category::Slash::kBackward &&
-          r.cat->arg().get() == l.cat->result().get()) {
-        const int z = vg.fresh();
-        if (TermPtr sem = reduce_or_drop(
-                mk_lam(z, mk_app(r.sem, mk_app(l.sem, mk_var(z)))))) {
-          chart.add(start, span,
-                    Edge{Category::complex(r.cat->result(),
-                                           Category::Slash::kBackward,
-                                           l.cat->arg()),
-                         std::move(sem)},
-                    [] { return "backward composition"; }, l.id, r.id);
-        }
+    }
+    // Backward composition: Y\Z  X\Y  =>  X\Z
+    if (!l.cat->is_primitive() && !r.cat->is_primitive() &&
+        l.cat->slash() == Category::Slash::kBackward &&
+        r.cat->slash() == Category::Slash::kBackward &&
+        r.cat->arg().get() == l.cat->result().get()) {
+      const int z = vg.fresh();
+      if (TermPtr sem = reduce_or_drop(
+              mk_lam(z, mk_app(r.sem, mk_app(l.sem, mk_var(z)))))) {
+        chart.add(start, span,
+                  Edge{Category::complex(r.cat->result(),
+                                         Category::Slash::kBackward,
+                                         l.cat->arg()),
+                       std::move(sem)},
+                  [] { return "backward composition"; }, l.id, r.id);
       }
     }
     // Noun compounding: N N => N ("echo reply" + "message" =>
@@ -483,8 +479,7 @@ ParseResult CcgParser::parse(const std::vector<nlp::Token>& tokens) const {
     // Coordination (binarized): CONJ X => X\X with the
     // generalized Φ semantics. The CONJ edge's semantics is the
     // bare conjunction predicate (@And / @Or).
-    if (options_.enable_coordination && is_conj(*l.cat) &&
-        l.sem->kind == Term::Kind::kPred) {
+    if (is_conj(*l.cat) && l.sem->kind == Term::Kind::kPred) {
       if (TermPtr sem =
               reduce_or_drop(coordination_sem(l.sem, r.sem, *r.cat, vg))) {
         chart.add(start, span,
@@ -509,8 +504,7 @@ ParseResult CcgParser::parse(const std::vector<nlp::Token>& tokens) const {
           // restores right-cell insertion order, so cap truncation and
           // first-derivation-wins dedup see pairs in full-scan order.
           cand.clear();
-          if (options_.enable_coordination && is_conj(*l.cat) &&
-              l.sem->kind == Term::Kind::kPred) {
+          if (is_conj(*l.cat) && l.sem->kind == Term::Kind::kPred) {
             // Coordination pairs a CONJ with ANY right edge.
             cand.resize(right.edges.size());
             for (std::uint32_t k = 0; k < cand.size(); ++k) cand[k] = k;
@@ -525,12 +519,10 @@ ParseResult CcgParser::parse(const std::vector<nlp::Token>& tokens) const {
             if (!l.cat->is_primitive() &&
                 l.cat->slash() == Category::Slash::kForward) {
               probe(right.by_cat, l.cat->arg()->id());  // forward application
-              if (options_.enable_composition) {
-                probe(right.fwd_by_result, l.cat->arg()->id());  // fwd comp
-              }
+              probe(right.fwd_by_result, l.cat->arg()->id());  // fwd comp
             }
             probe(right.bwd_by_arg, l.cat->id());  // backward application
-            if (options_.enable_composition && !l.cat->is_primitive() &&
+            if (!l.cat->is_primitive() &&
                 l.cat->slash() == Category::Slash::kBackward) {
               probe(right.bwd_by_arg, l.cat->result()->id());  // bwd comp
             }
@@ -556,7 +548,7 @@ ParseResult CcgParser::parse(const std::vector<nlp::Token>& tokens) const {
                     [] { return "N -> NP"; }, e.id);
         }
       }
-      if (options_.enable_type_raising && span < n) {
+      if (span < n) {
         const std::size_t base2 = chart.cell(start, span).edges.size();
         for (std::size_t k = 0; k < base2; ++k) {
           const Edge e = chart.cell(start, span).edges[k];

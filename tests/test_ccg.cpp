@@ -4,6 +4,8 @@
 // coordination distributivity.
 #include <gtest/gtest.h>
 
+#include <algorithm>
+
 #include "ccg/category.hpp"
 #include "ccg/lexicon.hpp"
 #include "ccg/parser.hpp"
@@ -235,15 +237,25 @@ TEST_F(ParserTest, EmptyAndOversizedInputs) {
   EXPECT_TRUE(small.parse(prepare("the checksum is zero")).forms.empty());
 }
 
-TEST_F(ParserTest, DisablingTypeRaisingRemovesDistributedReading) {
+TEST_F(ParserTest, DefaultGrammarYieldsDistributedReading) {
+  // Type raising and coordination always run: the distributed @And(@Is
+  // reading is built, and its derivation goes through a type-raised NP.
   ParserOptions opts;
-  opts.enable_type_raising = false;
+  opts.record_derivations = true;
   CcgParser parser(&lex_, opts);
   const auto result =
       parser.parse(prepare("the source and the destination is zero"));
-  for (const auto& f : result.forms) {
-    EXPECT_EQ(f.to_string().find("@And(@Is"), std::string::npos);
+  ASSERT_EQ(result.derivations.size(), result.forms.size());
+  bool distributed = false;
+  for (std::size_t i = 0; i < result.forms.size(); ++i) {
+    if (result.forms[i].to_string().rfind("@And(@Is", 0) != 0) continue;
+    distributed = true;
+    const auto& nodes = result.derivations[i].nodes;
+    EXPECT_TRUE(std::any_of(nodes.begin(), nodes.end(), [](const auto& n) {
+      return n.rule == "type raising";
+    })) << result.derivations[i].to_string();
   }
+  EXPECT_TRUE(distributed) << "missing distributed @And(@Is reading";
 }
 
 TEST_F(ParserTest, ChartEdgeCountIsPopulated) {
